@@ -18,6 +18,7 @@ use crate::gid::{ConnectionName, TransferId};
 use crate::message::EternalMessage;
 use eternal_obs::causal::{CausalRecorder, Hop, TraceTag};
 use eternal_obs::SimTime;
+use std::fmt::Display;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -94,7 +95,9 @@ pub fn trace_id_of(message: &EternalMessage) -> u64 {
 /// becomes the parent of the next); [`stamp_new`](HopCtx::stamp_new)
 /// starts or crosses into a different trace (a follow-up invocation
 /// issued from a reply handler roots its new chain in the reply-match
-/// span). All paths are free when the recorder is disabled.
+/// span). All paths are free when the recorder is disabled: the
+/// `detail` label is formatted only for a hop that is recorded, so
+/// callers pass `format_args!(..)`.
 pub struct HopCtx<'a> {
     rec: &'a mut CausalRecorder,
     node: u64,
@@ -155,7 +158,7 @@ impl<'a> HopCtx<'a> {
     /// Stamps a hop on the current chain and makes it the parent of
     /// subsequent stamps. Returns the span id (0 when disabled or the
     /// context is untraced).
-    pub fn stamp(&mut self, at: SimTime, hop: Hop, detail: &str) -> u64 {
+    pub fn stamp(&mut self, at: SimTime, hop: Hop, detail: impl Display) -> u64 {
         if !self.rec.is_enabled() || self.trace_id == 0 {
             return 0;
         }
@@ -184,7 +187,7 @@ impl<'a> HopCtx<'a> {
         trace_id: u64,
         parent: u64,
         hop: Hop,
-        detail: &str,
+        detail: impl Display,
     ) -> u64 {
         if !self.rec.is_enabled() || trace_id == 0 {
             return 0;

@@ -24,13 +24,15 @@ use eternal_obs::timeline::PhaseSpan;
 use eternal_obs::{EventKind, MetricsRegistry, RecoveryPhase, RecoveryTimeline};
 use eternal_orb::servant::CheckpointableServant;
 use eternal_sim::choice::{ChoiceKind, SharedChoiceSource};
+use eternal_sim::hash::{FxHashMap, FxHasher};
 use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::trace::Trace;
 use eternal_sim::{Duration, Scheduler, SimTime};
 use eternal_totem::node::{Action as TotemAction, Delivery as TotemDelivery, Phase, TotemNode};
 use eternal_totem::types::{Frame, Payload, Timer as TotemTimer};
 use eternal_totem::TotemConfig;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Static configuration of a cluster run.
@@ -94,16 +96,16 @@ impl Default for ClusterConfig {
     }
 }
 
-/// FNV-1a offset basis: the digest of an empty delivery history.
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The digest of an empty delivery history.
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds `bytes` into a running FNV-1a digest.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Chains one delivered message's hash onto a running delivery digest.
+/// Order-sensitive: the same messages in another order give another
+/// digest.
+fn chain_digest(digest: u64, message: u64) -> u64 {
+    let mut h = FxHasher::with_seed(digest);
+    h.write_u64(message);
+    h.finish()
 }
 
 #[derive(Debug)]
@@ -209,12 +211,12 @@ pub struct Cluster {
     mechs: BTreeMap<NodeId, Mechanisms>,
     reasm: BTreeMap<NodeId, EternalReassembler>,
     alive: BTreeMap<NodeId, bool>,
-    timer_gen: HashMap<(NodeId, TotemTimer), u64>,
+    timer_gen: FxHashMap<(NodeId, TotemTimer), u64>,
     next_emsg_id: BTreeMap<NodeId, u64>,
     groups: BTreeMap<GroupId, GroupInfo>,
     next_group: u32,
-    issue_times: HashMap<(ConnectionName, u32), SimTime>,
-    pending_launch: HashMap<(GroupId, NodeId), SimTime>,
+    issue_times: FxHashMap<(ConnectionName, u32), SimTime>,
+    pending_launch: FxHashMap<(GroupId, NodeId), SimTime>,
     /// Groups with a replacement launch scheduled or in progress, so the
     /// two fault-detection paths (ReplicaFault message, membership
     /// change) never double-launch.
@@ -234,7 +236,7 @@ pub struct Cluster {
     registry: MetricsRegistry,
     /// Last time the rotating token arrived at each live processor, for
     /// the token-rotation-time histogram.
-    last_token_at: HashMap<NodeId, SimTime>,
+    last_token_at: FxHashMap<NodeId, SimTime>,
     /// Latest backpressure gauges per processor, refreshed at each
     /// token-visit boundary (see [`BackpressureSample`]).
     backpressure: BTreeMap<NodeId, BackpressureSample>,
@@ -248,7 +250,7 @@ pub struct Cluster {
     /// when the recorder is disabled.
     send_stamped: BTreeSet<(u64, u64)>,
     episodes: BTreeMap<TransferId, EpisodeObs>,
-    /// Per-node chained FNV-1a digest over every reassembled IIOP
+    /// Per-node chained digest over every reassembled IIOP
     /// delivery, in delivery order (the batching-invariant witness).
     delivery_digest: BTreeMap<NodeId, u64>,
     /// Chained digests over each (connection, direction) IIOP stream as
@@ -271,7 +273,7 @@ pub struct Cluster {
     /// Epoch assigned to each health message at its *first* delivery
     /// anywhere — first-delivery order is the total order, so every
     /// replica observes the same epoch numbering. Pruned once well past.
-    health_epoch_of: HashMap<(u64, u64), u64>,
+    health_epoch_of: FxHashMap<(u64, u64), u64>,
     next_health_epoch: u64,
     /// Per-node epoch tag for the state digests the node's next
     /// snapshot will carry: the digests are refreshed at each health
@@ -298,12 +300,12 @@ impl Cluster {
             mechs: BTreeMap::new(),
             reasm: BTreeMap::new(),
             alive: BTreeMap::new(),
-            timer_gen: HashMap::new(),
+            timer_gen: FxHashMap::default(),
             next_emsg_id: BTreeMap::new(),
             groups: BTreeMap::new(),
             next_group: 0,
-            issue_times: HashMap::new(),
-            pending_launch: HashMap::new(),
+            issue_times: FxHashMap::default(),
+            pending_launch: FxHashMap::default(),
             launch_inflight: BTreeSet::new(),
             upgrades: BTreeMap::new(),
             metrics: Metrics::default(),
@@ -319,7 +321,7 @@ impl Cluster {
             },
             lamport: BTreeMap::new(),
             registry: MetricsRegistry::new(),
-            last_token_at: HashMap::new(),
+            last_token_at: FxHashMap::default(),
             backpressure: BTreeMap::new(),
             send_stamped: BTreeSet::new(),
             episodes: BTreeMap::new(),
@@ -336,7 +338,7 @@ impl Cluster {
                 HealthAuditor::new(acfg)
             },
             health_seq: BTreeMap::new(),
-            health_epoch_of: HashMap::new(),
+            health_epoch_of: FxHashMap::default(),
             next_health_epoch: 0,
             health_digest_epoch: BTreeMap::new(),
             config,
@@ -427,7 +429,7 @@ impl Cluster {
     /// driver (the chaos campaign runner injects faults from outside).
     pub fn record_event(&mut self, source: &str, kind: EventKind, detail: String) {
         let now = self.now();
-        self.trace.record(now, source.to_string(), kind, detail);
+        self.trace.record(now, source, kind, detail);
     }
 
     /// Adds to a named counter in the cluster-level metrics registry.
@@ -668,18 +670,21 @@ impl Cluster {
         &self.timelines
     }
 
-    /// Chained FNV-1a digest over every IIOP message delivered (after
+    /// Chained digest over every IIOP message delivered (after
     /// total-order delivery and reassembly) at `node`, in delivery
     /// order. Two nodes that delivered the same messages in the same
     /// order have equal digests; the digest survives processor restarts
     /// (it keeps accumulating), so compare it across never-crashed
     /// nodes only.
     pub fn delivery_digest(&self, node: NodeId) -> u64 {
-        self.delivery_digest.get(&node).copied().unwrap_or(FNV_SEED)
+        self.delivery_digest
+            .get(&node)
+            .copied()
+            .unwrap_or(DIGEST_SEED)
     }
 
     /// Per-stream delivery digests at `node`: for each logical
-    /// (connection, direction) IIOP stream, the chained FNV-1a digest
+    /// (connection, direction) IIOP stream, the chained digest
     /// over that stream's messages in delivery order (direction encoded
     /// 0 = request, 1 = reply). Deterministically ordered.
     pub fn stream_digests(&self, node: NodeId) -> Vec<((ConnectionName, u8), u64)> {
@@ -838,9 +843,9 @@ impl Cluster {
         let now = self.now();
         self.trace.record(
             now,
-            "cluster/evolution-manager".to_string(),
+            "cluster/evolution-manager",
             EventKind::UpgradeBegin,
-            format!("{group} replicas={old_replicas:?}"),
+            format_args!("{group} replicas={old_replicas:?}"),
         );
         self.upgrades.insert(group, old_replicas);
         self.upgrade_step(group);
@@ -860,9 +865,9 @@ impl Cluster {
             let now = self.now();
             self.trace.record(
                 now,
-                "cluster/evolution-manager".to_string(),
+                "cluster/evolution-manager",
                 EventKind::UpgradeComplete,
-                format!("{group}"),
+                group,
             );
             return;
         };
@@ -1061,9 +1066,9 @@ impl Cluster {
         let now = self.now();
         self.trace.record(
             now,
-            format!("{node}/cluster"),
+            format_args!("{node}/cluster"),
             EventKind::ReplicaKilled,
-            format!("{group}"),
+            group,
         );
         self.process_outs(node, outs, now, monitor);
     }
@@ -1105,7 +1110,7 @@ impl Cluster {
         self.backpressure.remove(&node);
         self.trace.record(
             now,
-            format!("{node}/cluster"),
+            format_args!("{node}/cluster"),
             EventKind::ProcessorCrashed,
             "",
         );
@@ -1169,7 +1174,7 @@ impl Cluster {
         let now = self.now();
         self.trace.record(
             now,
-            format!("{node}/cluster"),
+            format_args!("{node}/cluster"),
             EventKind::ProcessorRestarted,
             "",
         );
@@ -1274,9 +1279,9 @@ impl Cluster {
                     .insert(node);
                 self.trace.record(
                     now,
-                    format!("{node}/cluster"),
+                    format_args!("{node}/cluster"),
                     EventKind::ReplicaLaunched,
-                    format!("{group}"),
+                    group,
                 );
                 let outs = self
                     .mechs
@@ -1302,13 +1307,19 @@ impl Cluster {
         }
         if let EternalMessage::Iiop {
             conn,
-            direction: Direction::Request,
+            direction,
             op_seq,
             ..
         } = &message
         {
-            // Round-trip timing starts at the first copy's send.
-            self.issue_times.entry((*conn, *op_seq)).or_insert(now);
+            match direction {
+                Direction::Request => {
+                    self.metrics.requests_multicast += 1;
+                    // Round-trip timing starts at the first copy's send.
+                    self.issue_times.entry((*conn, *op_seq)).or_insert(now);
+                }
+                Direction::Reply => self.metrics.replies_multicast += 1,
+            }
         }
         // Send-side causal bookkeeping: bump the sender's Lamport clock,
         // root an untagged-but-traceable message (one reaching the send
@@ -1474,9 +1485,9 @@ impl Cluster {
         };
         self.trace.record(
             now,
-            format!("{node}/health"),
+            format_args!("{node}/health"),
             EventKind::HealthSnapshot,
-            format!("seq#{seq}"),
+            format_args!("seq#{seq}"),
         );
         self.registry.counter_add("health.snapshots_published", 1);
         self.do_multicast(node, EternalMessage::Health { snap }, now, TraceTag::NONE);
@@ -1509,12 +1520,8 @@ impl Cluster {
                         .counter_add(&format!("health.diagnoses.{}", d.severity.name()), 1);
                     self.registry
                         .counter_add(&format!("health.detector.{}", d.detector.name()), 1);
-                    self.trace.record(
-                        now,
-                        "cluster/health-auditor".to_string(),
-                        EventKind::HealthDiagnosis,
-                        d.to_string(),
-                    );
+                    self.trace
+                        .record(now, "cluster/health-auditor", EventKind::HealthDiagnosis, d);
                 }
                 e
             }
@@ -1656,8 +1663,15 @@ impl Cluster {
                     );
                     chain = (tag.trace_id, span, clock);
                 }
-                let pushed = self.reasm.get_mut(&node).expect("known").push(&data);
+                let reasm = self.reasm.get_mut(&node).expect("known");
+                let abandoned = reasm.abandoned();
+                let pushed = reasm.push(&data);
+                let abandoned = reasm.abandoned() - abandoned;
                 eternal_cdr::pool::recycle(data);
+                if abandoned > 0 {
+                    self.registry
+                        .counter_add("eternal.reassembly.abandoned", abandoned);
+                }
                 match pushed {
                     Ok(Some(message)) => {
                         self.digest_delivery(node, &message);
@@ -1692,9 +1706,9 @@ impl Cluster {
                     Err(e) => {
                         self.trace.record(
                             now,
-                            format!("{node}/reasm"),
+                            format_args!("{node}/reasm"),
                             EventKind::ReassemblyError,
-                            e.to_string(),
+                            e,
                         );
                     }
                 }
@@ -1702,9 +1716,9 @@ impl Cluster {
             TotemDelivery::ConfigChange { members, .. } => {
                 self.trace.record(
                     now,
-                    format!("{node}/totem"),
+                    format_args!("{node}/totem"),
                     EventKind::ConfigChange,
-                    format!("{members:?}"),
+                    format_args!("{members:?}"),
                 );
                 // Departed processors will never complete their partial
                 // messages, and may rewind their msg_id counters on
@@ -1788,9 +1802,9 @@ impl Cluster {
         {
             self.trace.record(
                 now,
-                format!("{rm_node}/resource-manager"),
+                format_args!("{rm_node}/resource-manager"),
                 EventKind::ReplacementChosen,
-                format!("{group} -> {replacement}"),
+                format_args!("{group} -> {replacement}"),
             );
             self.launch_inflight.insert(group);
             self.sched.schedule_after(
@@ -1855,9 +1869,9 @@ impl Cluster {
             {
                 self.trace.record(
                     now,
-                    "cluster/resource-manager".to_string(),
+                    "cluster/resource-manager",
                     EventKind::ReplacementChosen,
-                    format!("{group} -> {replacement}"),
+                    format_args!("{group} -> {replacement}"),
                 );
                 self.launch_inflight.insert(group);
                 self.sched.schedule_after(
@@ -1974,9 +1988,9 @@ impl Cluster {
                     }
                     self.trace.record(
                         now,
-                        format!("{node}/recovery"),
+                        format_args!("{node}/recovery"),
                         EventKind::RecoveryComplete,
-                        format!("{group} {app_state_bytes}B"),
+                        format_args!("{group} {app_state_bytes}B"),
                     );
                 }
                 Out::Promoted {
@@ -1987,9 +2001,9 @@ impl Cluster {
                     self.metrics.promotions += 1;
                     self.trace.record(
                         now + ready_after,
-                        format!("{node}/recovery"),
+                        format_args!("{node}/recovery"),
                         EventKind::PromotionComplete,
-                        format!("{group} replayed={replayed}"),
+                        format_args!("{group} replayed={replayed}"),
                     );
                 }
             }
@@ -2015,20 +2029,22 @@ impl Cluster {
             Direction::Request => 0u8,
             Direction::Reply => 1u8,
         };
-        let fold = |mut h: u64| {
-            h = fnv1a(h, &conn.client.0.to_be_bytes());
-            h = fnv1a(h, &conn.server.0.to_be_bytes());
-            h = fnv1a(h, &[dir]);
-            h = fnv1a(h, &op_seq.to_be_bytes());
-            fnv1a(h, bytes)
-        };
-        let whole = self.delivery_digest.entry(node).or_insert(FNV_SEED);
-        *whole = fold(*whole);
+        // Hash the message once, a word at a time, and chain that hash
+        // into both digests.
+        let mut h = FxHasher::default();
+        h.write_u32(conn.client.0);
+        h.write_u32(conn.server.0);
+        h.write_u8(dir);
+        h.write_u32(*op_seq);
+        h.write(bytes);
+        let message = h.finish();
+        let whole = self.delivery_digest.entry(node).or_insert(DIGEST_SEED);
+        *whole = chain_digest(*whole, message);
         let stream = self
             .stream_digests
             .entry((node, *conn, dir))
-            .or_insert(FNV_SEED);
-        *stream = fold(*stream);
+            .or_insert(DIGEST_SEED);
+        *stream = chain_digest(*stream, message);
     }
 
     /// Watches delivered recovery-protocol messages to place the episode
@@ -2184,6 +2200,38 @@ mod tests {
 
     fn small_cluster(seed: u64) -> Cluster {
         Cluster::new(ClusterConfig::default(), seed)
+    }
+
+    #[test]
+    fn swapping_two_deliveries_changes_the_delivery_digest() {
+        let conn = ConnectionName {
+            client: GroupId(1),
+            server: GroupId(0),
+        };
+        let iiop = |direction, op_seq, byte| EternalMessage::Iiop {
+            conn,
+            direction,
+            op_seq,
+            bytes: vec![byte; 37],
+        };
+        let a = iiop(Direction::Request, 0, 1);
+        let b = iiop(Direction::Request, 1, 2);
+        let r = iiop(Direction::Reply, 0, 3);
+        let digests = |order: &[&EternalMessage]| {
+            let mut c = small_cluster(1);
+            for m in order {
+                c.digest_delivery(NodeId(0), m);
+            }
+            (c.delivery_digest(NodeId(0)), c.stream_digests(NodeId(0)))
+        };
+        let (ab, ab_streams) = digests(&[&a, &r, &b]);
+        let (ba, ba_streams) = digests(&[&b, &r, &a]);
+        assert_ne!(ab, ba, "delivery digest is order-sensitive");
+        assert_ne!(ab_streams, ba_streams, "request stream digest too");
+        // The reply stream saw the same single message either way.
+        assert_eq!(ab_streams[1], ba_streams[1]);
+        assert_eq!((ab, ab_streams), digests(&[&a, &r, &b]), "deterministic");
+        assert_ne!(ab, small_cluster(1).delivery_digest(NodeId(0)));
     }
 
     #[test]

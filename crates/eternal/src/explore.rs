@@ -50,8 +50,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// FNV-1a offset basis (same constants as the cluster's delivery
-/// digests, so every fingerprint in the repo speaks one hash).
+/// FNV-1a offset basis and prime: the schedule-fingerprint hash.
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

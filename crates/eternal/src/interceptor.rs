@@ -19,7 +19,7 @@
 use crate::gid::{ConnectionName, Direction};
 use crate::message::EternalMessage;
 use eternal_giop::{GiopMessage, TraceContext, CONTEXT_ETERNAL_TRACE};
-use std::collections::HashMap;
+use eternal_sim::hash::FxHashMap;
 
 /// Adds the Eternal causal-trace service context (id
 /// [`CONTEXT_ETERNAL_TRACE`]) to an intercepted GIOP Request or Reply,
@@ -71,7 +71,7 @@ pub fn extract_trace_context(bytes: &[u8]) -> Option<TraceContext> {
 #[derive(Debug, Default)]
 pub struct Interceptor {
     /// Next Eternal op-id per outgoing-request connection.
-    request_counters: HashMap<ConnectionName, u32>,
+    request_counters: FxHashMap<ConnectionName, u32>,
     captured_requests: u64,
     captured_replies: u64,
     captured_bytes: u64,

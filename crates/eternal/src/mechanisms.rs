@@ -42,9 +42,10 @@ use eternal_giop::{GiopMessage, TraceContext};
 use eternal_obs::causal::{Hop, TraceTag};
 use eternal_orb::servant::CheckpointableServant;
 use eternal_orb::{ObjectKey, Orb};
+use eternal_sim::hash::{FxHashMap, FxHashSet};
 use eternal_sim::net::NodeId;
 use eternal_sim::{Duration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Something the mechanisms ask their driver to do.
 #[derive(Debug)]
@@ -365,13 +366,13 @@ pub struct Mechanisms {
     observer: OrbStateObserver,
     dedup: DuplicateSuppressor,
     groups: BTreeMap<GroupId, LocalGroup>,
-    client_conns: HashMap<ConnectionName, u64>,
-    server_conns: HashMap<ConnectionName, u64>,
-    seen_transfers: HashSet<TransferId>,
+    client_conns: FxHashMap<ConnectionName, u64>,
+    server_conns: FxHashMap<ConnectionName, u64>,
+    seen_transfers: FxHashSet<TransferId>,
     /// Log position of each in-flight checkpoint capture: messages
     /// logged after the `get_state` point must survive the checkpoint's
     /// garbage collection (their effects are not in the captured state).
-    checkpoint_marks: HashMap<(GroupId, TransferId), u64>,
+    checkpoint_marks: FxHashMap<(GroupId, TransferId), u64>,
     /// Retained contexts of in-flight chunked transfers this processor
     /// captured state for (BTreeMap: fault handling iterates it, and
     /// the multicasts it emits must come out in deterministic order).
@@ -429,10 +430,10 @@ impl Mechanisms {
             observer: OrbStateObserver::new(),
             dedup: DuplicateSuppressor::new(),
             groups: BTreeMap::new(),
-            client_conns: HashMap::new(),
-            server_conns: HashMap::new(),
-            seen_transfers: HashSet::new(),
-            checkpoint_marks: HashMap::new(),
+            client_conns: FxHashMap::default(),
+            server_conns: FxHashMap::default(),
+            seen_transfers: FxHashSet::default(),
+            checkpoint_marks: FxHashMap::default(),
             donor_transfers: BTreeMap::new(),
             inbound_transfers: BTreeMap::new(),
             awaiting_transfer: BTreeMap::new(),
@@ -827,7 +828,7 @@ impl Mechanisms {
                 trace_id,
                 ctx.parent(),
                 Hop::Marshal,
-                &format!("req {conn} {}", inv.operation),
+                format_args!("req {conn} {}", inv.operation),
             );
             let bytes = if marshal != 0 {
                 inject_trace_context(
@@ -1155,7 +1156,7 @@ impl Mechanisms {
                         let dispatch = ctx.stamp(
                             now,
                             Hop::Dispatch,
-                            &format!("{} op#{}", held.conn, held.op_seq),
+                            format_args!("{} op#{}", held.conn, held.op_seq),
                         );
                         if maybe_reply.is_none() {
                             // A oneway: no reply will ever signal its
@@ -1235,7 +1236,7 @@ impl Mechanisms {
                 ctx.stamp(
                     now,
                     Hop::ReplyMatch,
-                    &format!("{} op#{}", held.conn, held.op_seq),
+                    format_args!("{} op#{}", held.conn, held.op_seq),
                 );
                 let mut outs = vec![Out::ReplyDelivered {
                     conn: held.conn,
@@ -1417,7 +1418,7 @@ impl Mechanisms {
             let get_state = ctx.stamp(
                 now,
                 Hop::GetState,
-                &format!("{group} {transfer} {}B", state.application.len()),
+                format_args!("{group} {transfer} {}B", state.application.len()),
             );
             outs.push(Out::StateCaptured {
                 group,
@@ -1548,7 +1549,7 @@ impl Mechanisms {
             transfer_trace_id(transfer),
             parent,
             Hop::StateChunk,
-            &format!("send {}/{} {}B", index + 1, dt.total, end - start),
+            format_args!("send {}/{} {}B", index + 1, dt.total, end - start),
         );
         Out::Multicast {
             delay,
@@ -1648,7 +1649,7 @@ impl Mechanisms {
                 ctx.stamp(
                     now,
                     Hop::StateChunk,
-                    &format!("recv {}/{} {}B", index + 1, total, bytes.len()),
+                    format_args!("recv {}/{} {}B", index + 1, total, bytes.len()),
                 );
                 if last {
                     // §5.1 step i, deferred: the last chunk is the
@@ -1707,7 +1708,7 @@ impl Mechanisms {
             transfer_trace_id(transfer),
             ctx.parent(),
             Hop::StateChunk,
-            &format!("suffix {} entries", entries.len()),
+            format_args!("suffix {} entries", entries.len()),
         );
         vec![Out::Multicast {
             delay: self.config.exec_time + wait,
@@ -1959,7 +1960,7 @@ impl Mechanisms {
         ctx.stamp(
             now,
             Hop::SetState,
-            &format!("{group} {transfer} {app_state_bytes}B"),
+            format_args!("{group} {transfer} {app_state_bytes}B"),
         );
         self.apply_application_state(group, &state.application);
         self.apply_orb_poa_state(group, &state.orb_poa);
@@ -2044,7 +2045,7 @@ impl Mechanisms {
                             held_trace,
                             0,
                             Hop::Replay,
-                            &format!("suffix {conn} op#{op_seq}"),
+                            format_args!("suffix {conn} op#{op_seq}"),
                         );
                         ctx.set_chain(held_trace, replay);
                         let held = HeldIiop {
@@ -2105,7 +2106,7 @@ impl Mechanisms {
                             held_trace,
                             held.trace_parent,
                             Hop::Replay,
-                            &format!("{} op#{}", held.conn, held.op_seq),
+                            format_args!("{} op#{}", held.conn, held.op_seq),
                         );
                         ctx.set_chain(held_trace, replay);
                         outs.extend(self.deliver_to_replica(group, held, now, ctx));
@@ -2418,7 +2419,7 @@ impl Mechanisms {
             held_trace,
             held.trace_parent,
             Hop::Replay,
-            &format!("log {} op#{}", held.conn, held.op_seq),
+            format_args!("log {} op#{}", held.conn, held.op_seq),
         );
         ctx.set_chain(held_trace, replay);
         // Replay happens at fault-delivery time; oneway settling windows

@@ -14,8 +14,8 @@ use crate::gid::{ConnectionName, Direction, GroupId, TransferId};
 use crate::recovery::state3::ThreeKindsOfState;
 use eternal_cdr::{CdrDecoder, CdrEncoder, CdrError, Endian};
 use eternal_obs::health::HealthSnapshot;
+use eternal_sim::hash::FxHashMap;
 use eternal_sim::net::NodeId;
-use std::collections::HashMap;
 
 /// Why a `get_state()` is being fabricated (paper §3.3 vs §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -577,11 +577,12 @@ pub fn fragment_eternal(
         .collect()
 }
 
-/// A partially reassembled message: the fragment index expected next,
-/// the total announced by the first fragment (every later fragment must
-/// agree), and the bytes accumulated so far.
+/// A partially reassembled message: its `msg_id`, the fragment index
+/// expected next, the total announced by the first fragment (every
+/// later fragment must agree), and the bytes accumulated so far.
 #[derive(Debug)]
 struct Partial {
+    msg_id: u64,
     next: u32,
     total: u32,
     bytes: Vec<u8>,
@@ -589,16 +590,25 @@ struct Partial {
 
 /// Reassembles [`WireFragment`] streams back into [`EternalMessage`]s.
 ///
-/// Totem delivers fragments of one origin in order, but fragments of
-/// different origins interleave; partial messages are keyed by
-/// `(origin, msg_id)`. When a processor leaves the membership its
-/// partials must be evicted via [`EternalReassembler::forget_origin`]:
-/// a crashed sender will never complete them, and if it restarts with
-/// its `msg_id` counter rewound, stale bytes would otherwise collide
-/// with the reused key and corrupt or swallow the new message.
+/// Totem delivers fragments of one origin in order, and an origin
+/// multicasts each message's fragments back to back, so its fragments
+/// are contiguous in its FIFO total order: at most one message per
+/// origin is ever partially assembled, while fragments of different
+/// origins interleave. A fragment 0 from an origin with a partial still
+/// open therefore proves that partial can never complete (its sender
+/// crashed mid-message and came back, perhaps without ever leaving the
+/// membership); the partial is dropped and counted in
+/// [`EternalReassembler::abandoned`]. When a processor leaves the
+/// membership its partial is evicted via
+/// [`EternalReassembler::forget_origin`], so a departed sender's bytes
+/// are not parked until it returns.
+///
+/// A single-fragment message is decoded straight from its chunk,
+/// without a reassembly buffer.
 #[derive(Debug, Default)]
 pub struct EternalReassembler {
-    partial: HashMap<(NodeId, u64), Partial>,
+    partial: FxHashMap<NodeId, Partial>,
+    abandoned: u64,
 }
 
 impl EternalReassembler {
@@ -612,9 +622,9 @@ impl EternalReassembler {
         self.partial.len()
     }
 
-    /// Number of messages partially assembled from `origin`.
+    /// Number of messages partially assembled from `origin` (0 or 1).
     pub fn pending_from(&self, origin: NodeId) -> usize {
-        self.partial.keys().filter(|&&(o, _)| o == origin).count()
+        usize::from(self.partial.contains_key(&origin))
     }
 
     /// Bytes accumulated across all partially assembled messages (a
@@ -624,12 +634,18 @@ impl EternalReassembler {
         self.partial.values().map(|p| p.bytes.len()).sum()
     }
 
-    /// Drops every partial from `origin`. Called on a Totem membership
-    /// change that excludes `origin` (mirroring `giop::Reassembler`'s
-    /// per-connection `reset`): the departed processor will never send
-    /// the remaining fragments, and may reuse `msg_id`s after restart.
+    /// Partials dropped because a new message from the same origin
+    /// started before they completed.
+    pub fn abandoned(&self) -> u64 {
+        self.abandoned
+    }
+
+    /// Drops the partial from `origin`, if any. Called on a Totem
+    /// membership change that excludes `origin` (mirroring
+    /// `giop::Reassembler`'s per-connection `reset`): the departed
+    /// processor will never send the remaining fragments.
     pub fn forget_origin(&mut self, origin: NodeId) {
-        self.partial.retain(|&(o, _), _| o != origin);
+        self.partial.remove(&origin);
     }
 
     /// Consumes one Totem payload; returns the completed message when
@@ -650,21 +666,48 @@ impl EternalReassembler {
                 found: "zero-fragment message",
             });
         }
-        let key = (frag.origin, frag.msg_id);
-        let entry = self.partial.entry(key).or_insert_with(|| Partial {
-            next: 0,
-            total: frag.total,
-            bytes: eternal_cdr::pool::take(),
-        });
+        if frag.index == 0 {
+            if self.partial.remove(&frag.origin).is_some() {
+                self.abandoned += 1;
+            }
+            if frag.total == 1 {
+                let msg = EternalMessage::from_bytes(&frag.chunk);
+                eternal_cdr::pool::recycle(frag.chunk);
+                return msg.map(Some);
+            }
+            let mut bytes = eternal_cdr::pool::take();
+            bytes.extend_from_slice(&frag.chunk);
+            eternal_cdr::pool::recycle(frag.chunk);
+            self.partial.insert(
+                frag.origin,
+                Partial {
+                    msg_id: frag.msg_id,
+                    next: 1,
+                    total: frag.total,
+                    bytes,
+                },
+            );
+            return Ok(None);
+        }
+        let Some(entry) = self
+            .partial
+            .get_mut(&frag.origin)
+            .filter(|p| p.msg_id == frag.msg_id)
+        else {
+            return Err(CdrError::TypeMismatch {
+                expected: "next fragment index",
+                found: "out-of-order fragment",
+            });
+        };
         if entry.total != frag.total {
-            self.partial.remove(&key);
+            self.forget_origin(frag.origin);
             return Err(CdrError::TypeMismatch {
                 expected: "consistent fragment total",
                 found: "total mismatch within one message",
             });
         }
         if entry.next != frag.index {
-            self.partial.remove(&key);
+            self.forget_origin(frag.origin);
             return Err(CdrError::TypeMismatch {
                 expected: "next fragment index",
                 found: "out-of-order fragment",
@@ -674,7 +717,7 @@ impl EternalReassembler {
         entry.bytes.extend_from_slice(&frag.chunk);
         eternal_cdr::pool::recycle(frag.chunk);
         if entry.next == entry.total {
-            let Partial { bytes, .. } = self.partial.remove(&key).expect("just inserted");
+            let Partial { bytes, .. } = self.partial.remove(&frag.origin).expect("entry present");
             let msg = EternalMessage::from_bytes(&bytes);
             eternal_cdr::pool::recycle(bytes);
             msg.map(Some)
@@ -1000,6 +1043,77 @@ mod tests {
         }
         assert_eq!(out, Some(new), "reused msg_id delivers cleanly");
         assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn new_message_from_an_origin_abandons_its_stale_partial() {
+        // An origin that crashes mid-message and restarts without ever
+        // leaving the membership never sends the missing fragments; its
+        // next message's fragment 0 proves the partial is dead.
+        let origin = NodeId(1);
+        let big = EternalMessage::Iiop {
+            conn: conn(),
+            direction: Direction::Request,
+            op_seq: 1,
+            bytes: vec![0x5A; 5000],
+        };
+        let frags = fragment_eternal(origin, 13, &big.to_bytes(), 1000);
+        assert!(frags.len() >= 5);
+        let other = fragment_eternal(NodeId(0), 4, &big.to_bytes(), 1000);
+        let mut r = EternalReassembler::new();
+        for f in &frags[..3] {
+            assert_eq!(r.push(f).unwrap(), None);
+        }
+        r.push(&other[0]).unwrap();
+        assert_eq!(r.pending_from(origin), 1);
+        assert_eq!(r.abandoned(), 0);
+        // The restarted origin's next message is a single fragment.
+        let small = EternalMessage::ReplicaFault {
+            group: GroupId(3),
+            host: origin,
+        };
+        let next = fragment_eternal(origin, 14, &small.to_bytes(), 1000);
+        assert_eq!(next.len(), 1);
+        assert_eq!(r.push(&next[0]).unwrap(), Some(small));
+        assert_eq!(r.pending_from(origin), 0, "stale partial dropped");
+        assert_eq!(r.abandoned(), 1);
+        // Another origin's partial is untouched and still completes.
+        assert_eq!(r.pending_from(NodeId(0)), 1);
+        let mut out = None;
+        for f in &other[1..] {
+            out = r.push(f).unwrap();
+        }
+        assert_eq!(out, Some(big.clone()));
+        // A multi-fragment restart abandons a partial the same way.
+        r.push(&frags[0]).unwrap();
+        let again = fragment_eternal(origin, 15, &big.to_bytes(), 1000);
+        r.push(&again[0]).unwrap();
+        assert_eq!(r.abandoned(), 2);
+        let mut out = None;
+        for f in &again[1..] {
+            out = r.push(f).unwrap();
+        }
+        assert_eq!(out, Some(big));
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn continuation_of_an_unknown_message_is_rejected() {
+        let msg = EternalMessage::Iiop {
+            conn: conn(),
+            direction: Direction::Request,
+            op_seq: 0,
+            bytes: vec![0; 3000],
+        };
+        let a = fragment_eternal(NodeId(0), 1, &msg.to_bytes(), 1000);
+        let b = fragment_eternal(NodeId(0), 2, &msg.to_bytes(), 1000);
+        let mut r = EternalReassembler::new();
+        r.push(&a[0]).unwrap();
+        assert!(
+            r.push(&b[1]).is_err(),
+            "fragment 1 of a message never begun"
+        );
+        assert_eq!(r.pending_from(NodeId(0)), 1, "open partial kept");
     }
 
     #[test]

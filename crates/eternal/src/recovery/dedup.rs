@@ -9,7 +9,8 @@
 //! they ever reach the target ORB.
 
 use crate::gid::{ConnectionName, Direction, OperationId};
-use std::collections::{BTreeSet, HashMap};
+use eternal_sim::hash::FxHashMap;
+use std::collections::BTreeSet;
 
 /// Default bound on the per-stream sparse id set; see
 /// [`DuplicateSuppressor::with_window`].
@@ -28,7 +29,7 @@ pub const DEFAULT_DEDUP_WINDOW: usize = 1024;
 /// re-execute).
 #[derive(Debug)]
 pub struct DuplicateSuppressor {
-    streams: HashMap<(ConnectionName, Direction), Stream>,
+    streams: FxHashMap<(ConnectionName, Direction), Stream>,
     suppressed: u64,
     window: usize,
     gaps_skipped: u64,
@@ -37,7 +38,7 @@ pub struct DuplicateSuppressor {
 impl Default for DuplicateSuppressor {
     fn default() -> Self {
         Self {
-            streams: HashMap::new(),
+            streams: FxHashMap::default(),
             suppressed: 0,
             window: DEFAULT_DEDUP_WINDOW,
             gaps_skipped: 0,

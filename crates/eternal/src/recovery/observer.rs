@@ -14,7 +14,7 @@
 
 use crate::gid::ConnectionName;
 use eternal_giop::{GiopMessage, CONTEXT_CODE_SETS, CONTEXT_ETERNAL_VENDOR};
-use std::collections::HashMap;
+use eternal_sim::hash::FxHashMap;
 
 /// Per-connection ORB-level facts learned from the wire.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub struct ObservedConnection {
 /// state of every connection it sees.
 #[derive(Debug, Default)]
 pub struct OrbStateObserver {
-    connections: HashMap<ConnectionName, ObservedConnection>,
+    connections: FxHashMap<ConnectionName, ObservedConnection>,
 }
 
 impl OrbStateObserver {

@@ -201,13 +201,15 @@ impl MetricsRegistry {
 
     /// Adds `n` to the named counter (creating it at zero).
     pub fn counter_add(&mut self, name: &str, n: u64) {
-        if n == 0 && !self.counters.contains_key(name) {
-            // Register the counter so it shows up in renders/exports
-            // even before the first increment.
-            self.counters.insert(name.to_string(), 0);
-            return;
+        // Look the name up first: only a first insert allocates its key.
+        // A zero add still registers the counter, so it shows up in
+        // renders/exports before the first increment.
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
     }
 
     /// Current value of the named counter (zero if never touched).
@@ -227,19 +229,23 @@ impl MetricsRegistry {
 
     /// Records a sample into the named histogram (creating it).
     pub fn histogram_record(&mut self, name: &str, d: Duration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
+        self.histogram_mut(name).record(d);
     }
 
     /// Records a dimensionless sample into the named histogram (see
     /// [`LogHistogram::record_value`]).
     pub fn histogram_record_value(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record_value(v);
+        self.histogram_mut(name).record_value(v);
+    }
+
+    /// The named histogram, created empty on first use (only then is
+    /// its key allocated).
+    fn histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
+        if !self.histograms.contains_key(name) {
+            self.histograms
+                .insert(name.to_string(), LogHistogram::default());
+        }
+        self.histograms.get_mut(name).expect("just ensured")
     }
 
     /// The named histogram, if any samples were recorded.

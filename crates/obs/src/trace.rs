@@ -8,12 +8,14 @@
 //! The buffer is a **ring**: beyond [`Trace::capacity`] events the
 //! oldest are dropped (counted by [`Trace::dropped_events`]), so long
 //! benchmark runs cannot grow memory without bound. A disabled trace
-//! ([`Trace::disabled`]) records nothing and allocates nothing; guard
-//! expensive `format!` detail construction with [`Trace::is_enabled`].
+//! ([`Trace::disabled`]) records nothing and allocates nothing:
+//! [`Trace::record`] takes its labels as `impl Display` and formats
+//! them only when enabled, so pass `format_args!(..)`, not `format!`.
 
 use crate::event::{EventKind, SpanEdge, SpanId, SpanRef, TraceEvent};
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Display;
 
 /// Default ring-buffer capacity (events).
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -126,20 +128,22 @@ impl Trace {
         self.events.push_back(event);
     }
 
-    /// Appends a point event (no-op when disabled).
+    /// Appends a point event (no-op when disabled). `source` and
+    /// `detail` are formatted only when the trace is enabled, so callers
+    /// pass `format_args!(..)` rather than a pre-built `String`.
     pub fn record(
         &mut self,
         at: SimTime,
-        source: impl Into<String>,
+        source: impl Display,
         kind: EventKind,
-        detail: impl Into<String>,
+        detail: impl Display,
     ) {
         if self.enabled {
             self.push(TraceEvent {
                 at,
-                source: source.into(),
+                source: source.to_string(),
                 kind,
-                detail: detail.into(),
+                detail: detail.to_string(),
                 span: None,
             });
         }

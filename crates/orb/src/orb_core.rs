@@ -172,9 +172,9 @@ impl Orb {
             self.metrics.counter_add("orb.requests_built", 1);
             self.trace.record(
                 self.clock,
-                format!("{}/orb", self.host),
+                format_args!("{}/orb", self.host),
                 EventKind::OrbRequestIssued,
-                format!("conn={conn} id={} op={operation}", built.0),
+                format_args!("conn={conn} id={} op={operation}", built.0),
             );
         }
         Ok(built)
@@ -222,7 +222,7 @@ impl Orb {
                         self.clock,
                         source.clone(),
                         EventKind::OrbHandshakeNegotiated,
-                        format!("conn={conn}"),
+                        format_args!("conn={conn}"),
                     );
                 }
                 let last_id = self
@@ -280,9 +280,9 @@ impl Orb {
                 self.metrics.counter_add("orb.handshakes_negotiated", 1);
                 self.trace.record(
                     self.clock,
-                    format!("{}/orb", self.host),
+                    format_args!("{}/orb", self.host),
                     EventKind::OrbHandshakeNegotiated,
-                    format!("conn={conn}"),
+                    format_args!("conn={conn}"),
                 );
             }
         }
@@ -306,7 +306,7 @@ impl Orb {
                         self.clock,
                         source,
                         EventKind::OrbReplyMatched,
-                        format!(
+                        format_args!(
                             "conn={conn} id={} op={}",
                             outcome.request_id, outcome.operation
                         ),
@@ -318,7 +318,7 @@ impl Orb {
                         self.clock,
                         source,
                         EventKind::OrbReplyDiscarded,
-                        format!("conn={conn} {err}"),
+                        format_args!("conn={conn} {err}"),
                     );
                 }
             }
@@ -344,9 +344,9 @@ impl Orb {
             self.metrics.counter_add("orb.control_dispatches", 1);
             self.trace.record(
                 self.clock,
-                format!("{}/orb", self.host),
+                format_args!("{}/orb", self.host),
                 EventKind::OrbControlDispatch,
-                format!("op={operation} key={key}"),
+                format_args!("op={operation} key={key}"),
             );
         }
         self.poa.dispatch(key, operation, args)

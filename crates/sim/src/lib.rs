@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod choice;
+pub mod hash;
 pub mod net;
 pub mod rng;
 pub mod sched;

@@ -14,9 +14,9 @@
 //! * **Partitions and crashed nodes** — frames do not cross partition
 //!   boundaries, and crashed nodes neither send nor receive.
 
+use crate::hash::FxHashMap;
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a processor attached to the simulated network.
@@ -100,8 +100,8 @@ pub struct NetworkModel {
     config: NetworkConfig,
     rng: SimRng,
     nodes: Vec<NodeId>,
-    up: HashMap<NodeId, bool>,
-    partition_of: HashMap<NodeId, u32>,
+    up: FxHashMap<NodeId, bool>,
+    partition_of: FxHashMap<NodeId, u32>,
     busy_until: SimTime,
     busy_time: Duration,
     frames_sent: u64,

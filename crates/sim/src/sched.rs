@@ -1,6 +1,11 @@
 //! The discrete-event scheduler: a priority queue of `(time, event)`
 //! pairs with a deterministic FIFO tie-break for events scheduled at the
 //! same instant.
+//!
+//! The heap orders small `(time, seq, slot)` keys; event payloads sit in
+//! a slab and move exactly twice (in on schedule, out on pop), however
+//! deep the heap. Cancelling an event empties its slot and leaves a
+//! tombstone key behind, discarded when it reaches the top of the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -10,30 +15,38 @@ use crate::time::{Duration, SimTime};
 
 /// A handle that identifies a scheduled event so it can be cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
-#[derive(Debug)]
-struct Entry<E> {
+/// A heap key: the event's firing time, its scheduling sequence number
+/// (the FIFO tie-break), and the slab slot holding its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
+}
+
+/// A slab slot: the payload of the event scheduled with sequence number
+/// `seq`, or `None` once it fired or was cancelled. A key whose `seq`
+/// differs from its slot's, or whose slot is empty, is a tombstone.
+#[derive(Debug)]
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
 }
 
 /// A deterministic discrete-event scheduler.
@@ -43,10 +56,12 @@ impl<E> Ord for Entry<E> {
 /// reproducible run-to-run.
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    slots: Vec<Slot<E>>,
+    free: Vec<u32>,
+    live: usize,
     now: SimTime,
     next_seq: u64,
-    pending: std::collections::HashSet<u64>,
     choices: Option<SharedChoiceSource>,
 }
 
@@ -61,9 +76,11 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            pending: std::collections::HashSet::new(),
             choices: None,
         }
     }
@@ -97,7 +114,7 @@ impl<E> Scheduler<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` if no events are pending.
@@ -119,9 +136,24 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.heap.push(Reverse(Entry { time, seq, event }));
-        EventId(seq)
+        let filled = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                self.slots.push(filled);
+                slot
+            }
+        };
+        self.live += 1;
+        self.heap.push(Reverse(Key { time, seq, slot }));
+        EventId { seq, slot }
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -132,7 +164,36 @@ impl<E> Scheduler<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.pending.remove(&id.0)
+        self.take(id.seq, id.slot).is_some()
+    }
+
+    /// Whether `key` still names a pending event.
+    fn is_live(&self, key: &Key) -> bool {
+        let slot = &self.slots[key.slot as usize];
+        slot.seq == key.seq && slot.event.is_some()
+    }
+
+    /// Empties the slot of the event scheduled as `seq`, if it is still
+    /// pending there, and frees the slot for reuse.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<E> {
+        let s = self.slots.get_mut(slot as usize)?;
+        if s.seq != seq {
+            return None;
+        }
+        let event = s.event.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(event)
+    }
+
+    /// Pops heap keys until a live one surfaces (tombstones discarded).
+    fn pop_live(&mut self) -> Option<Key> {
+        while let Some(Reverse(key)) = self.heap.pop() {
+            if self.is_live(&key) {
+                return Some(key);
+            }
+        }
+        None
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -142,45 +203,36 @@ impl<E> Scheduler<E> {
         if self.choices.is_some() {
             return self.pop_with_choices();
         }
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.pending.remove(&entry.seq) {
-                continue; // cancelled
-            }
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
-        }
-        None
+        let key = self.pop_live()?;
+        self.fire(key)
     }
 
-    /// `pop` with an installed choice source: gather every live entry
+    /// Takes the payload of the live `key` and advances the clock.
+    fn fire(&mut self, key: Key) -> Option<(SimTime, E)> {
+        let event = self.take(key.seq, key.slot)?;
+        self.now = key.time;
+        Some((key.time, event))
+    }
+
+    /// `pop` with an installed choice source: gather every live key
     /// tied at the minimal timestamp, let the source pick one, and push
     /// the rest back (they keep their original `seq`, so FIFO order
     /// among them is preserved for the next tie).
     fn pop_with_choices(&mut self) -> Option<(SimTime, E)> {
-        let first = loop {
-            match self.heap.pop() {
-                Some(Reverse(entry)) => {
-                    if self.pending.contains(&entry.seq) {
-                        break entry;
-                    }
-                    // cancelled: discard
-                }
-                None => return None,
-            }
-        };
+        let first = self.pop_live()?;
         // Collect the rest of the tie set; heap pops in (time, seq)
         // order, so `tied` is FIFO-ordered.
         let mut tied = vec![first];
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if !self.pending.contains(&top.seq) {
+        while let Some(&Reverse(top)) = self.heap.peek() {
+            if !self.is_live(&top) {
                 self.heap.pop();
                 continue;
             }
-            if top.time != tied[0].time {
+            if top.time != first.time {
                 break;
             }
-            let Reverse(entry) = self.heap.pop().expect("peeked entry present");
-            tied.push(entry);
+            self.heap.pop();
+            tied.push(top);
         }
         let pick = if tied.len() >= 2 {
             let source = self.choices.clone().expect("choice source installed");
@@ -190,20 +242,18 @@ impl<E> Scheduler<E> {
             0
         };
         let chosen = tied.swap_remove(pick);
-        for entry in tied {
-            self.heap.push(Reverse(entry));
+        for key in tied {
+            self.heap.push(Reverse(key));
         }
-        self.pending.remove(&chosen.seq);
-        self.now = chosen.time;
-        Some((chosen.time, chosen.event))
+        self.fire(chosen)
     }
 
     /// Returns the timestamp of the next pending event without removing
     /// it. Lazily discards cancelled entries from the top of the heap.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if self.pending.contains(&e.seq) {
-                return Some(e.time);
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if self.is_live(&key) {
+                return Some(key.time);
             }
             self.heap.pop();
         }

@@ -8,6 +8,7 @@ use eternal_sim::net::{NetworkConfig, NetworkModel, NodeId};
 use eternal_sim::rng::SimRng;
 use eternal_sim::{Duration, Scheduler, SimTime};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// A tie-breaker that picks branches from the crate's own PRNG —
@@ -168,6 +169,92 @@ fn time_is_monotone_under_permutation() {
             (0..n).collect::<Vec<_>>(),
             "entries lost or duplicated"
         );
+    }
+}
+
+/// Pops the reference model's next entry: the tie set at the minimal
+/// time in `seq` (FIFO) order, resolved by `choice` when given.
+fn model_pop(
+    model: &mut BTreeMap<(SimTime, u64), u64>,
+    choice: Option<&mut RandomChoice>,
+) -> Option<(SimTime, u64)> {
+    let &(t0, _) = model.keys().next()?;
+    let tied: Vec<(SimTime, u64)> = model
+        .keys()
+        .copied()
+        .take_while(|&(t, _)| t == t0)
+        .collect();
+    let pick = match choice {
+        Some(c) if tied.len() >= 2 => c.choose(ChoiceKind::Tie, tied.len()).min(tied.len() - 1),
+        _ => 0,
+    };
+    let key = tied[pick];
+    model.remove(&key).map(|e| (key.0, e))
+}
+
+/// The scheduler against a reference model: a `BTreeMap` keyed by
+/// `(time, seq)`. Random interleavings of `schedule_at`, `pop`,
+/// `cancel` (of pending, already-popped and already-cancelled ids),
+/// `peek_time` and `len` must agree step for step, with and without a
+/// choice source. Popping and cancelling free slab slots that later
+/// `schedule_at` calls reuse, so stale ids are checked against reused
+/// slots as well.
+#[test]
+fn scheduler_matches_reference_model() {
+    let mut rng = SimRng::seed_from_u64(0x5EED_000A);
+    for case in 0..96u64 {
+        let with_choices = case % 2 == 1;
+        let mut s: Scheduler<u64> = Scheduler::new();
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        // The model resolves ties with its own copy of the same source.
+        let mut model_choice = RandomChoice(SimRng::seed_from_u64(0x3000 + case));
+        if with_choices {
+            s.set_choice_source(Rc::new(RefCell::new(RandomChoice(SimRng::seed_from_u64(
+                0x3000 + case,
+            )))));
+        }
+        let mut ids = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut next_seq = 0u64;
+        // Coarse delays keep plenty of same-instant ties.
+        let spread = 1 + rng.gen_range(12);
+        for _step in 0..400 {
+            match rng.gen_range(10) {
+                0..=3 => {
+                    let at = now + Duration::from_nanos(rng.gen_range(spread));
+                    let id = s.schedule_at(at, next_seq);
+                    model.insert((at, next_seq), next_seq);
+                    ids.push((id, at, next_seq));
+                    next_seq += 1;
+                }
+                4..=6 => {
+                    let expected = model_pop(&mut model, with_choices.then_some(&mut model_choice));
+                    let got = s.pop();
+                    assert_eq!(got, expected, "case {case}: pop diverged");
+                    if let Some((at, _)) = got {
+                        now = at;
+                    }
+                    assert_eq!(s.now(), now);
+                }
+                7 | 8 if !ids.is_empty() => {
+                    let (id, at, seq) = ids[rng.gen_range(ids.len() as u64) as usize];
+                    let expected = model.remove(&(at, seq)).is_some();
+                    assert_eq!(s.cancel(id), expected, "case {case}: cancel diverged");
+                }
+                _ => {
+                    let expected = model.keys().next().map(|&(t, _)| t);
+                    assert_eq!(s.peek_time(), expected, "case {case}: peek diverged");
+                }
+            }
+            assert_eq!(s.len(), model.len(), "case {case}: len diverged");
+            assert_eq!(s.is_empty(), model.is_empty());
+        }
+        // Drain: the rest pops in the model's order.
+        while let Some(got) = s.pop() {
+            let expected = model_pop(&mut model, with_choices.then_some(&mut model_choice));
+            assert_eq!(Some(got), expected, "case {case}: drain diverged");
+        }
+        assert!(model.is_empty(), "case {case}: scheduler ran dry early");
     }
 }
 

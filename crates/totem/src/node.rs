@@ -667,7 +667,7 @@ impl TotemNode {
     fn on_commit(&mut self, c: CommitMsg, actions: &mut Vec<Action>) {
         // Progress observation: a commit frame farther along than the one
         // we forwarded means our forward arrived.
-        self.observe_progress(&Frame::Commit(c.clone()), actions);
+        self.observe_progress(Observed::Commit(&c), actions);
         // While settled, a commit token for a formation that excludes us
         // means the membership is moving on without us: re-gather.
         if matches!(self.phase, Phase::Operational | Phase::Recover)
@@ -989,23 +989,23 @@ impl TotemNode {
 
     /// Cancels pending retransmission when an observed frame proves the
     /// frame we forwarded was received.
-    fn observe_progress(&mut self, observed: &Frame, actions: &mut Vec<Action>) {
+    fn observe_progress(&mut self, observed: Observed<'_>, actions: &mut Vec<Action>) {
         let Some(fwd) = &self.forwarded else { return };
         let progressed = match (fwd, observed) {
-            (Frame::Token(mine), Frame::Token(theirs)) => {
+            (Frame::Token(mine), Observed::Token(theirs)) => {
                 theirs.ring == mine.ring && theirs.token_seq > mine.token_seq
             }
-            (Frame::Token(mine), Frame::Regular(m)) => {
+            (Frame::Token(mine), Observed::Regular(m)) => {
                 // Only the token holder broadcasts; a regular message on
                 // our ring from the token's target proves receipt.
                 m.ring == mine.ring && m.sender == mine.target
             }
-            (Frame::Commit(mine), Frame::Commit(theirs)) => {
+            (Frame::Commit(mine), Observed::Commit(theirs)) => {
                 theirs.new_ring == mine.new_ring
                     && (theirs.pass, position_of(&theirs.members, theirs.target))
                         > (mine.pass, position_of(&mine.members, mine.target))
             }
-            (Frame::Commit(mine), Frame::Token(t)) => t.ring >= mine.new_ring,
+            (Frame::Commit(mine), Observed::Token(t)) => t.ring >= mine.new_ring,
             _ => false,
         };
         if progressed {
@@ -1050,7 +1050,7 @@ impl TotemNode {
     }
 
     fn on_token(&mut self, t: Token, actions: &mut Vec<Action>) {
-        self.observe_progress(&Frame::Token(t.clone()), actions);
+        self.observe_progress(Observed::Token(&t), actions);
         if self.on_foreign_ring_frame(t.ring, t.target, actions) {
             return;
         }
@@ -1178,7 +1178,7 @@ impl TotemNode {
     }
 
     fn on_regular(&mut self, m: RegularMsg, actions: &mut Vec<Action>) {
-        self.observe_progress(&Frame::Regular(m.clone()), actions);
+        self.observe_progress(Observed::Regular(&m), actions);
         if self.on_foreign_ring_frame(m.ring, m.sender, actions) {
             return;
         }
@@ -1333,6 +1333,15 @@ impl TotemNode {
             self.store_and_deliver(msg, actions);
         }
     }
+}
+
+/// A borrowed view of a received frame, for progress observation
+/// (no clone of the frame just to compare a few fields).
+#[derive(Clone, Copy)]
+enum Observed<'a> {
+    Regular(&'a RegularMsg),
+    Token(&'a Token),
+    Commit(&'a CommitMsg),
 }
 
 fn position_of(members: &[NodeId], m: NodeId) -> usize {

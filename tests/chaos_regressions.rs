@@ -419,3 +419,64 @@ fn campaign_replay_is_byte_identical() {
     let b = run_campaign(&cfg).to_string();
     assert_eq!(a, b);
 }
+
+/// Regression: a primary whose processor crashed in the middle of
+/// multicasting a checkpoint, and restarted before any membership
+/// excluded it, left the checkpoint's leading fragments parked in every
+/// survivor's reassembler for the rest of the run (`forget_origin` only
+/// runs on a membership that drops the origin). An origin's fragments
+/// are contiguous in its FIFO total order, so the restarted origin's
+/// first new message proves the partial dead; it is dropped and counted
+/// in `eternal.reassembly.abandoned`.
+#[test]
+fn primary_crash_mid_checkpoint_then_fast_restart_leaves_no_partial() {
+    let mut c = cluster(2);
+    let limit: u64 = 600;
+    let server = c.deploy_server(
+        "blob",
+        FaultToleranceProperties::warm_passive(3)
+            .with_checkpoint_interval(Duration::from_millis(25)),
+        || Box::new(BlobServant::with_size(20_000)),
+    );
+    c.deploy_client("driver", FaultToleranceProperties::active(1), move |_| {
+        Box::new(StreamingClient::new(server, "touch", 4).with_limit(limit))
+    });
+    c.run_until_deployed();
+    c.run_for(Duration::from_millis(60));
+    let processors = c.processors();
+    let primary = c
+        .mechanisms(processors[0])
+        .primary_host(server)
+        .expect("warm-passive group has a primary");
+    let survivor = *processors.iter().find(|&&n| n != primary).expect("peer");
+    // Step until a checkpoint is half-delivered at a survivor (the only
+    // multi-fragment messages in this run are the primary's
+    // checkpoints), then crash its sender there.
+    let deadline = c.now() + Duration::from_millis(200);
+    while c.reassembly_pending(survivor) == 0 {
+        assert!(c.now() < deadline, "no checkpoint in flight");
+        c.step();
+    }
+    c.crash_processor(primary);
+    // Back before token-loss detection can exclude it: no membership
+    // ever drops the primary.
+    c.run_for(Duration::from_millis(5));
+    c.restart_processor(primary);
+    let deadline = c.now() + Duration::from_secs(10);
+    loop {
+        c.run_for(Duration::from_millis(10));
+        if c.metrics().replies_delivered >= limit
+            && c.outstanding_calls() == 0
+            && !c.recovery_in_flight()
+            && c.formed()
+        {
+            break;
+        }
+        assert!(c.now() < deadline, "cluster never quiesced");
+    }
+    c.run_for(Duration::from_millis(100));
+    for n in processors {
+        assert_eq!(c.reassembly_pending(n), 0, "{n} parks a dead partial");
+    }
+    assert!(c.metrics_registry().counter("eternal.reassembly.abandoned") >= 1);
+}

@@ -205,3 +205,23 @@ fn report_renders_system_state() {
     assert!(report.contains("totals:"), "{report}");
     assert_eq!(c.groups().len(), 2);
 }
+
+#[test]
+fn multicast_counters_count_every_captured_copy() {
+    // One active client replica issues each call once; every one of the
+    // three active server replicas multicasts its own reply copy.
+    const CALLS: u64 = 40;
+    let mut c = Cluster::new(ClusterConfig::default(), 67);
+    let server = c.deploy_server("s", FaultToleranceProperties::active(3), || {
+        Box::new(CounterServant::default())
+    });
+    c.deploy_client("d", FaultToleranceProperties::active(1), move |_| {
+        Box::new(StreamingClient::new(server, "increment", 1).with_limit(CALLS))
+    });
+    c.run_until_deployed();
+    settle(&mut c);
+    let m = c.metrics();
+    assert_eq!(m.replies_delivered, CALLS);
+    assert_eq!(m.requests_multicast, CALLS);
+    assert_eq!(m.replies_multicast, 3 * CALLS);
+}
