@@ -83,8 +83,9 @@
 //!
 //! Unknown experiment names print the usage and exit 2.
 
-use eternal::chaos::{run_campaign, CampaignConfig, FaultKind};
+use eternal::chaos::{run_campaign, CampaignConfig};
 use eternal::explore::{run_explore, ExploreConfig};
+use eternal::faults::FaultKind;
 use eternal::properties::ReplicationStyle;
 use eternal_bench::{
     ablation_run, attribution, checkpoint_sweep_point, compare, fig6_point, fig6_timeline,

@@ -23,7 +23,7 @@
 //! that kind — silence fails. Same seed, same flags → byte-identical
 //! document.
 
-use eternal::chaos::FaultKind;
+use eternal::faults::FaultKind;
 use eternal::health_lab::{expected_detector, run_scenario, LabConfig};
 use eternal_obs::export::registry_to_prometheus;
 use eternal_obs::health::Severity;

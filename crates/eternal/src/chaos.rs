@@ -5,26 +5,14 @@
 //! randomized faults — replica kills, processor crash/restart cycles,
 //! partitions healed mid-reformation, loss bursts, delay spikes, and
 //! crashes of the *recovering* host in the middle of a §5.1 state
-//! transfer — through the same public [`Cluster`] APIs, and checks the
-//! paper's correctness claims as machine-verified invariants after
-//! every fault, once the system has re-quiesced:
-//!
-//! 1. **Convergence** — all live replicas of every group hold
-//!    byte-identical application-level state (strong consistency, §2).
-//! 2. **Exactly-once effects** — the operations a server executed equal
-//!    the logical invocations its drivers issued: duplicates are
-//!    suppressed, but nothing is lost or re-executed (§4.1).
-//! 3. **Bounded recovery** — every completed recovery episode finished
-//!    within a configured cap, and the cluster re-quiesced at all.
-//! 4. **No orphaned reassembly state** — partially reassembled
-//!    multicast messages do not survive quiescence.
-//! 5. **Bounded duplicate-detection memory** — per-processor dedup
-//!    tables stay under a fixed resident cap (§4.1's tables must not
-//!    grow without bound under loss and restarts).
-//! 6. **Bounded log suffix** — passive-group message logs stay under
-//!    the suffix-bound checkpoint trigger's cap at every quiescent
-//!    point: sustained load must not grow replay memory (or warm
-//!    promotion time) without bound (§3.3, docs/RECOVERY.md).
+//! transfer — through the shared fault model ([`crate::faults`]), and
+//! after every fault, once the system has re-quiesced, checks the
+//! paper's correctness claims as machine-verified invariants: those of
+//! the shared single-copy oracle ([`crate::oracle`]: convergence,
+//! exactly-once effects, single-copy equivalence, no orphaned
+//! reassembly state, bounded dedup memory, bounded log suffix), plus
+//! **bounded recovery** — every completed recovery episode finished
+//! within a configured cap, and the cluster re-quiesced at all.
 //!
 //! Everything is derived from [`CampaignConfig::seed`] through
 //! [`SimRng`]: the same seed reproduces the same fault schedule, the
@@ -36,66 +24,15 @@
 use crate::app::BurstClient;
 use crate::app::{BlobServant, CounterServant};
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::gid::GroupId;
-use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
+use crate::faults::{self, Applied, FaultKind, Pick};
+use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind, Violation};
 use crate::properties::FaultToleranceProperties;
 use eternal_obs::EventKind;
-use eternal_sim::net::NodeId;
 use eternal_sim::rng::SimRng;
 use eternal_sim::{Duration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// One kind of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultKind {
-    /// Kill one replica of a group that still has a sibling.
-    KillReplica,
-    /// Crash a whole processor, run through the reformation, restart it.
-    CrashRestart,
-    /// Partition the live processors into two components at a traffic
-    /// quiescent point, hold briefly, heal (often mid-reformation).
-    PartitionHeal,
-    /// Raise the network loss probability for a burst of traffic.
-    LossBurst,
-    /// Raise the propagation delay for a burst of traffic.
-    DelaySpike,
-    /// Kill a replica, wait for the §5.1 recovery to start, then crash
-    /// the *recovering* host mid-state-transfer.
-    KillMidTransfer,
-    /// Kill a replica, wait for the chunked state transfer to start
-    /// streaming, then kill the *donor* replica mid-stream: the next
-    /// operational host must take the stream over from the shared
-    /// cursor rather than restart it from byte zero.
-    KillDonorMidStream,
-}
-
-impl FaultKind {
-    /// All kinds, in schedule-draw order.
-    pub const ALL: [FaultKind; 7] = [
-        FaultKind::KillReplica,
-        FaultKind::CrashRestart,
-        FaultKind::PartitionHeal,
-        FaultKind::LossBurst,
-        FaultKind::DelaySpike,
-        FaultKind::KillMidTransfer,
-        FaultKind::KillDonorMidStream,
-    ];
-
-    /// Stable display name (summary and trace detail strings).
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultKind::KillReplica => "kill_replica",
-            FaultKind::CrashRestart => "crash_restart",
-            FaultKind::PartitionHeal => "partition_heal",
-            FaultKind::LossBurst => "loss_burst",
-            FaultKind::DelaySpike => "delay_spike",
-            FaultKind::KillMidTransfer => "kill_mid_transfer",
-            FaultKind::KillDonorMidStream => "kill_donor_mid_stream",
-        }
-    }
-}
 
 /// Parameters of one campaign. Everything that affects the run is in
 /// here — two equal configs produce byte-identical summaries.
@@ -194,26 +131,6 @@ pub struct HealthRollup {
     pub critical: u64,
 }
 
-/// One invariant violation observed at a quiescent point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Fault step after which the check ran (0 = post-deployment
-    /// baseline).
-    pub step: usize,
-    /// Invariant name (`convergence`, `exactly-once`,
-    /// `bounded-recovery`, `reassembly-orphan`, `dedup-bound`,
-    /// `suffix-bound`, `availability`).
-    pub invariant: &'static str,
-    /// What was observed.
-    pub detail: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "step {}: {}: {}", self.step, self.invariant, self.detail)
-    }
-}
-
 /// Deterministic result of one campaign. [`Display`](fmt::Display)
 /// renders it as the stable text block the CI smoke job diffs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -246,6 +163,10 @@ pub struct CampaignSummary {
     pub invariant_checks: u64,
     /// Violations, in discovery order.
     pub violations: Vec<Violation>,
+    /// What each fault step did, in step order (`schedule[i]` is step
+    /// `i + 1`). Rendered by [`CampaignSummary::to_json`] only, so the
+    /// text summary stays byte-identical.
+    pub schedule: Vec<Applied>,
     /// The post-mortem flight-recorder dump: present when the campaign
     /// ran with [`CampaignConfig::causal`] and at least one invariant
     /// was violated. `repro -- chaos` writes it to
@@ -267,61 +188,37 @@ impl CampaignSummary {
     /// `repro -- chaos --json` export; the flight-recorder dump is a
     /// separate file and is not embedded). Byte-deterministic.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"steps\": {},", self.steps);
         let _ = writeln!(out, "  \"final_time_ns\": {},", self.final_time.as_nanos());
-        let faults = self
+        let faults: Vec<String> = self
             .faults
             .iter()
             .map(|(name, n)| format!("\"{name}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"faults\": {{{faults}}},");
-        let _ = writeln!(
-            out,
-            "  \"requests_dispatched\": {},",
-            self.requests_dispatched
-        );
-        let _ = writeln!(out, "  \"replies_delivered\": {},", self.replies_delivered);
-        let _ = writeln!(
-            out,
-            "  \"duplicates_suppressed\": {},",
-            self.duplicates_suppressed
-        );
-        let _ = writeln!(
-            out,
-            "  \"recoveries_completed\": {},",
-            self.recoveries_completed
-        );
-        let _ = writeln!(
-            out,
-            "  \"transfer_takeovers\": {},",
-            self.transfer_takeovers
-        );
-        let _ = writeln!(
-            out,
-            "  \"dedup_gaps_skipped\": {},",
-            self.dedup_gaps_skipped
-        );
-        let _ = writeln!(out, "  \"invariant_checks\": {},", self.invariant_checks);
-        let violations = self
-            .violations
+            .collect();
+        let _ = writeln!(out, "  \"faults\": {{{}}},", faults.join(", "));
+        for (key, n) in [
+            ("requests_dispatched", self.requests_dispatched),
+            ("replies_delivered", self.replies_delivered),
+            ("duplicates_suppressed", self.duplicates_suppressed),
+            ("recoveries_completed", self.recoveries_completed),
+            ("transfer_takeovers", self.transfer_takeovers),
+            ("dedup_gaps_skipped", self.dedup_gaps_skipped),
+            ("invariant_checks", self.invariant_checks),
+        ] {
+            let _ = writeln!(out, "  \"{key}\": {n},");
+        }
+        let violations: Vec<String> = self.violations.iter().map(Violation::to_json).collect();
+        let _ = writeln!(out, "  \"violations\": [{}],", violations.join(", "));
+        let schedule: Vec<String> = self
+            .schedule
             .iter()
-            .map(|v| {
-                format!(
-                    "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
-                    v.step,
-                    v.invariant,
-                    esc(&v.detail)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"violations\": [{violations}],");
+            .enumerate()
+            .map(|(i, a)| format!("\n    {}", a.to_json(i + 1)))
+            .collect();
+        let close = if schedule.is_empty() { "" } else { "\n  " };
+        let _ = writeln!(out, "  \"schedule\": [{}{close}],", schedule.join(","));
         if let Some(h) = &self.health {
             let _ = writeln!(
                 out,
@@ -329,11 +226,7 @@ impl CampaignSummary {
                 h.epochs, h.diagnoses, h.critical
             );
         }
-        let _ = writeln!(
-            out,
-            "  \"passed\": {}",
-            if self.passed() { "true" } else { "false" }
-        );
+        let _ = writeln!(out, "  \"passed\": {}", self.passed());
         out.push_str("}\n");
         out
     }
@@ -390,13 +283,10 @@ struct Campaign<'a> {
     cfg: &'a CampaignConfig,
     rng: SimRng,
     cluster: Cluster,
-    /// Server/driver pairs audited by the shared [`Oracle`]
-    /// (`pairs[1]` is always the blob pair, which the mid-transfer
-    /// faults target).
-    pairs: Vec<OraclePair>,
-    base_loss: f64,
-    base_delay: Duration,
-    faults: BTreeMap<&'static str, u64>,
+    /// The shared oracle, auditing the server/driver pairs (`pairs()[1]`
+    /// is always the blob pair, which the mid-transfer faults target).
+    oracle: Oracle,
+    schedule: Vec<Applied>,
     invariant_checks: u64,
     violations: Vec<Violation>,
     recoveries_seen: usize,
@@ -423,11 +313,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     let mut campaign = Campaign {
         cfg,
         rng: SimRng::seed_from_u64(cfg.seed),
-        base_loss: cluster.net().config().loss_probability,
-        base_delay: cluster.net().config().propagation_delay,
         cluster,
-        pairs: Vec::new(),
-        faults: BTreeMap::new(),
+        oracle: Oracle::new(OracleConfig {
+            dedup_resident_cap: cfg.dedup_resident_cap,
+            suffix_checkpoint_len: cfg.suffix_checkpoint_len,
+        }),
+        schedule: Vec::new(),
         invariant_checks: 0,
         violations: Vec::new(),
         recoveries_seen: 0,
@@ -477,45 +368,52 @@ impl Campaign<'_> {
             FaultToleranceProperties::active(2),
             move |_| Box::new(BurstClient::new(ledger, "increment", burst)),
         );
-        self.pairs = vec![
-            OraclePair {
-                server: counter,
-                driver: counter_driver,
-                kind: ServantKind::Counter,
-            },
-            OraclePair {
-                server: blob,
-                driver: blob_driver,
-                kind: ServantKind::Blob { size: blob_size },
-            },
-            OraclePair {
-                server: ledger,
-                driver: ledger_driver,
-                kind: ServantKind::Counter,
-            },
-        ];
+        for (server, driver, kind) in [
+            (counter, counter_driver, ServantKind::Counter),
+            (blob, blob_driver, ServantKind::Blob { size: blob_size }),
+            (ledger, ledger_driver, ServantKind::Counter),
+        ] {
+            self.oracle.add_pair(OraclePair {
+                server,
+                driver,
+                kind,
+            });
+        }
         self.cluster.run_until_deployed();
     }
 
     fn run(&mut self) {
         // Post-deployment baseline: the invariants must hold before any
         // fault is injected (step 0).
-        let settled = self.settle();
+        let settled = self
+            .cluster
+            .run_until_quiet(self.cfg.settle_slice, self.cfg.settle_cap);
         self.check_invariants(0, settled);
         for step in 1..=self.cfg.steps {
             let kind = self.pick_fault();
-            *self.faults.entry(kind.name()).or_insert(0) += 1;
             self.cluster.counter_add("chaos.faults", 1);
             self.cluster.record_event(
                 "chaos/campaign",
                 EventKind::ChaosFault,
                 format!("step {step} {}", kind.name()),
             );
-            self.inject(kind);
+            // Replica kills strike a random killable group; every other
+            // replica-striking kind aims at the blob, whose transfer is
+            // long enough to strike into.
+            let group = if kind == FaultKind::KillReplica {
+                let groups = faults::killable_groups(&self.cluster);
+                groups[self.rng.index(groups.len())]
+            } else {
+                self.oracle.pairs()[1].server
+            };
+            let applied = faults::apply(&mut self.cluster, kind, group, &mut self.rng);
+            self.schedule.push(applied);
             // Re-burst traffic over the (now repaired) system, then
             // drain it to the next quiescent point and audit.
             self.cluster.kick_clients();
-            let settled = self.settle();
+            let settled = self
+                .cluster
+                .run_until_quiet(self.cfg.settle_slice, self.cfg.settle_cap);
             self.check_invariants(step, settled);
         }
     }
@@ -524,23 +422,12 @@ impl Campaign<'_> {
     /// currently applicable (e.g. no processor is safe to crash).
     /// Falls back to a loss burst, which always applies.
     fn pick_fault(&mut self) -> FaultKind {
+        let blob = self.oracle.pairs()[1].server;
         for _ in 0..8 {
             let kind = FaultKind::ALL[self.rng.gen_range(FaultKind::ALL.len() as u64) as usize];
             let applicable = match kind {
-                FaultKind::KillReplica => !self.killable_groups().is_empty(),
-                FaultKind::CrashRestart => !self.crashable_processors().is_empty(),
-                FaultKind::PartitionHeal => self.live_processors().len() >= 2,
-                FaultKind::LossBurst | FaultKind::DelaySpike => true,
-                FaultKind::KillMidTransfer => {
-                    let blob = self.pairs[1].server;
-                    self.cluster.hosting(blob).len() >= 2
-                }
-                FaultKind::KillDonorMidStream => {
-                    // One host recovers, one donates, one survives to
-                    // take the stream over.
-                    let blob = self.pairs[1].server;
-                    self.cluster.hosting(blob).len() >= 3
-                }
+                FaultKind::KillReplica => !faults::killable_groups(&self.cluster).is_empty(),
+                _ => faults::applicable(&self.cluster, kind, blob),
             };
             if applicable {
                 return kind;
@@ -549,236 +436,16 @@ impl Campaign<'_> {
         FaultKind::LossBurst
     }
 
-    fn inject(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::KillReplica => self.inject_kill_replica(),
-            FaultKind::CrashRestart => self.inject_crash_restart(),
-            FaultKind::PartitionHeal => self.inject_partition_heal(),
-            FaultKind::LossBurst => self.inject_loss_burst(),
-            FaultKind::DelaySpike => self.inject_delay_spike(),
-            FaultKind::KillMidTransfer => self.inject_kill_mid_transfer(),
-            FaultKind::KillDonorMidStream => self.inject_kill_donor_mid_stream(),
-        }
-    }
-
-    // ---- fault implementations ----
-
-    fn inject_kill_replica(&mut self) {
-        let candidates = self.killable_groups();
-        let &group = self.rng.choose(&candidates).expect("checked applicable");
-        let hosting = self.cluster.hosting(group);
-        let &victim = self.rng.choose(&hosting).expect("hosting >= 2");
-        self.cluster.kill_replica(group, victim);
-    }
-
-    fn inject_crash_restart(&mut self) {
-        let candidates = self.crashable_processors();
-        let &victim = self.rng.choose(&candidates).expect("checked applicable");
-        self.cluster.crash_processor(victim);
-        // Keep the survivors under load through the reformation and the
-        // recoveries it triggers.
-        let downtime = Duration::from_millis(20 + self.rng.gen_range(100));
-        self.cluster.run_for(downtime);
-        self.cluster.kick_clients();
-        self.cluster.run_for(downtime);
-        self.cluster.restart_processor(victim);
-    }
-
-    fn inject_partition_heal(&mut self) {
-        // Partitions are applied at traffic quiescence and healed before
-        // traffic resumes: replicas of one group split across components
-        // must not diverge, and with no invocations in flight they
-        // cannot. The short hold still lands the heal in the middle of
-        // the components' ring reformations.
-        let live = self.live_processors();
-        let cut = 1 + self.rng.gen_range(live.len() as u64 - 1) as usize;
-        let (a, b) = live.split_at(cut);
-        self.cluster.net_mut().partition(&[a, b]);
-        let hold = Duration::from_millis(5 + self.rng.gen_range(55));
-        self.cluster.run_for(hold);
-        self.cluster.net_mut().heal();
-    }
-
-    fn inject_loss_burst(&mut self) {
-        let p = 0.05 + 0.25 * self.rng.next_f64();
-        self.cluster.net_mut().set_loss_probability(p);
-        self.cluster.kick_clients();
-        let hold = Duration::from_millis(20 + self.rng.gen_range(60));
-        self.cluster.run_for(hold);
-        let base = self.base_loss;
-        self.cluster.net_mut().set_loss_probability(base);
-    }
-
-    fn inject_delay_spike(&mut self) {
-        let delay = Duration::from_micros(200 + self.rng.gen_range(1_800));
-        self.cluster.net_mut().set_propagation_delay(delay);
-        self.cluster.kick_clients();
-        let hold = Duration::from_millis(20 + self.rng.gen_range(60));
-        self.cluster.run_for(hold);
-        let base = self.base_delay;
-        self.cluster.net_mut().set_propagation_delay(base);
-    }
-
-    fn inject_kill_mid_transfer(&mut self) {
-        let blob = self.pairs[1].server;
-        let hosting = self.cluster.hosting(blob);
-        let &victim = self.rng.choose(&hosting).expect("checked applicable");
-        self.cluster.kill_replica(blob, victim);
-        // Run in fine slices until the resource manager has launched a
-        // replacement and its state transfer is under way.
-        let deadline = self.cluster.now() + Duration::from_millis(200);
-        let new_host = loop {
-            if let Some(&(_, host)) = self
-                .cluster
-                .pending_launches()
-                .iter()
-                .find(|&&(g, _)| g == blob)
-            {
-                break Some(host);
-            }
-            if self.cluster.now() >= deadline {
-                break None;
-            }
-            self.cluster.run_for(Duration::from_micros(500));
-        };
-        let Some(new_host) = new_host else {
-            return; // recovery never started; settle handles the rest
-        };
-        // Let the transfer progress a little, then crash the recovering
-        // host itself. The abort must release the launch guard so a
-        // second recovery can succeed elsewhere.
-        let into = Duration::from_micros(200 + self.rng.gen_range(1_800));
-        self.cluster.run_for(into);
-        if self.cluster.is_alive(new_host) && self.safe_to_crash(new_host) {
-            self.cluster.crash_processor(new_host);
-            let downtime = Duration::from_millis(20 + self.rng.gen_range(40));
-            self.cluster.run_for(downtime);
-            self.cluster.restart_processor(new_host);
-        }
-    }
-
-    fn inject_kill_donor_mid_stream(&mut self) {
-        let blob = self.pairs[1].server;
-        let hosting = self.cluster.hosting(blob);
-        let &victim = self.rng.choose(&hosting).expect("checked applicable");
-        self.cluster.kill_replica(blob, victim);
-        // Run in fine slices until the chunk stream is under way: every
-        // operational host retains a transfer context naming the donor
-        // once the retrieval is delivered.
-        let deadline = self.cluster.now() + Duration::from_millis(200);
-        let donor = loop {
-            let streaming = self
-                .live_processors()
-                .into_iter()
-                .find_map(|n| self.cluster.mechanisms(n).transfer_donor(blob));
-            if let Some(donor) = streaming {
-                break Some(donor);
-            }
-            if self.cluster.now() >= deadline {
-                break None;
-            }
-            self.cluster.run_for(Duration::from_micros(500));
-        };
-        let Some(donor) = donor else {
-            return; // transfer never started; settle handles the rest
-        };
-        // Let a few chunks land, then kill the donor's replica. The
-        // next operational host must resume the stream from the shared
-        // cursor (never from byte zero) for the recovery to converge.
-        let into = Duration::from_micros(200 + self.rng.gen_range(1_800));
-        self.cluster.run_for(into);
-        if self.cluster.is_alive(donor) && self.cluster.hosting(blob).contains(&donor) {
-            self.cluster.kill_replica(blob, donor);
-        }
-    }
-
-    // ---- applicability helpers ----
-
-    fn live_processors(&self) -> Vec<NodeId> {
-        self.cluster
-            .processors()
-            .into_iter()
-            .filter(|&n| self.cluster.is_alive(n))
-            .collect()
-    }
-
-    /// Groups that keep at least one replica if one is killed.
-    fn killable_groups(&self) -> Vec<GroupId> {
-        self.cluster
-            .groups()
-            .into_iter()
-            .map(|(g, _)| g)
-            .filter(|&g| self.cluster.hosting(g).len() >= 2)
-            .collect()
-    }
-
-    /// Whether every group keeps a live replica elsewhere if `victim`
-    /// goes down (the campaign never takes a whole group out: total
-    /// loss has nothing to transfer state from and is out of scope).
-    fn safe_to_crash(&self, victim: NodeId) -> bool {
-        self.cluster.groups().iter().all(|&(g, _)| {
-            self.cluster
-                .hosting(g)
-                .iter()
-                .any(|&n| n != victim && self.cluster.is_alive(n))
-        })
-    }
-
-    fn crashable_processors(&self) -> Vec<NodeId> {
-        self.live_processors()
-            .into_iter()
-            .filter(|&n| self.safe_to_crash(n))
-            .collect()
-    }
-
-    // ---- quiescence ----
-
-    /// Runs until the system is quiet — ring formed, no recovery
-    /// machinery in flight, no outstanding invocations, and no metrics
-    /// movement across one full slice — or until the settle cap is
-    /// exceeded (returns `false`: a bounded-recovery violation).
-    fn settle(&mut self) -> bool {
-        let deadline = self.cluster.now() + self.cfg.settle_cap;
-        let mut last = self.progress_snapshot();
-        loop {
-            self.cluster.run_for(self.cfg.settle_slice);
-            let snap = self.progress_snapshot();
-            let quiet = self.cluster.formed()
-                && !self.cluster.recovery_in_flight()
-                && self.cluster.outstanding_calls() == 0;
-            if quiet && snap == last {
-                return true;
-            }
-            last = snap;
-            if self.cluster.now() >= deadline {
-                return false;
-            }
-        }
-    }
-
-    fn progress_snapshot(&self) -> (u64, u64, u64) {
-        let m = self.cluster.metrics();
-        (
-            m.requests_dispatched,
-            m.replies_delivered,
-            m.recoveries_completed,
-        )
-    }
-
     // ---- invariants ----
 
-    fn violation(&mut self, step: usize, invariant: &'static str, detail: String) {
+    fn violation(&mut self, v: Violation) {
         self.cluster.counter_add("chaos.invariant_violations", 1);
         self.cluster.record_event(
             "chaos/invariants",
             EventKind::InvariantViolation,
-            format!("step {step} {invariant}: {detail}"),
+            format!("step {} {}: {}", v.step, v.invariant, v.detail),
         );
-        self.violations.push(Violation {
-            step,
-            invariant,
-            detail,
-        });
+        self.violations.push(v);
     }
 
     fn check_invariants(&mut self, step: usize, settled: bool) {
@@ -789,33 +456,15 @@ impl Campaign<'_> {
             format!("step {step}"),
         );
         self.invariant_checks += 1;
-        if !settled {
-            self.violation(
-                step,
-                "bounded-recovery",
-                format!("cluster failed to quiesce within {}", self.cfg.settle_cap),
-            );
-        }
-        // Invariants 1, 2, 4, 5, 6 plus the single-copy reference
-        // replay are the shared oracle; only the episode-based
-        // recovery-time audit is campaign-specific.
-        let oracle = self.oracle();
-        for v in oracle.check(&mut self.cluster) {
-            self.violation(step, v.invariant, v.detail);
+        // The settle-cap check and every invariant but the episode-based
+        // recovery-time audit are the shared oracle's.
+        let found = self
+            .oracle
+            .audit(&mut self.cluster, step, settled, self.cfg.settle_cap);
+        for v in found {
+            self.violation(v);
         }
         self.check_recovery_times(step);
-    }
-
-    /// The shared oracle configured for this campaign's caps and pairs.
-    fn oracle(&self) -> Oracle {
-        let mut oracle = Oracle::new(OracleConfig {
-            dedup_resident_cap: self.cfg.dedup_resident_cap,
-            suffix_checkpoint_len: self.cfg.suffix_checkpoint_len,
-        });
-        for &pair in &self.pairs {
-            oracle.add_pair(pair);
-        }
-        oracle
     }
 
     /// Invariant 3 (episode half): every newly completed recovery
@@ -826,11 +475,11 @@ impl Campaign<'_> {
         for rec in &records[self.recoveries_seen..] {
             let took = rec.recovery_time();
             if took > cap {
-                self.violation(
+                self.violation(Violation {
                     step,
-                    "bounded-recovery",
-                    format!("episode took {took} (cap {cap})"),
-                );
+                    invariant: "bounded-recovery",
+                    detail: format!("episode took {took} (cap {cap})"),
+                });
             }
             self.cluster.histogram_record("chaos.recovery_time", took);
         }
@@ -839,16 +488,19 @@ impl Campaign<'_> {
 
     fn finish(self) -> CampaignSummary {
         let m = self.cluster.metrics();
-        let dedup_gaps_skipped = self
-            .live_processors()
+        let live = faults::live_processors(&self.cluster);
+        let dedup_gaps_skipped = live
             .iter()
             .map(|&n| self.cluster.mechanisms(n).dedup_gaps_skipped())
             .sum();
-        let transfer_takeovers = self
-            .live_processors()
+        let transfer_takeovers = live
             .iter()
             .map(|&n| self.cluster.mechanisms(n).counters().transfer_takeovers)
             .sum();
+        let mut faults = BTreeMap::new();
+        for applied in &self.schedule {
+            *faults.entry(applied.kind.name()).or_insert(0) += 1;
+        }
         let mut violations = self.violations;
         if self.cfg.force_violation {
             violations.push(Violation {
@@ -881,7 +533,7 @@ impl Campaign<'_> {
             seed: self.cfg.seed,
             steps: self.cfg.steps,
             final_time: self.cluster.now(),
-            faults: self.faults,
+            faults,
             requests_dispatched: m.requests_dispatched,
             replies_delivered: m.replies_delivered,
             duplicates_suppressed: m.duplicates_suppressed,
@@ -890,6 +542,7 @@ impl Campaign<'_> {
             dedup_gaps_skipped,
             invariant_checks: self.invariant_checks,
             violations,
+            schedule: self.schedule,
             flight_recorder,
             health,
         }

@@ -1040,6 +1040,38 @@ impl Cluster {
         self.run_until_time(deadline);
     }
 
+    /// Runs in `slice` steps until the system is quiet — ring formed, no
+    /// recovery machinery in flight, no outstanding invocations, and no
+    /// dispatch, reply or recovery progress across one full slice.
+    /// Returns `false` if `cap` of virtual time passes first (the chaos
+    /// campaigns and the explorer report that as a bounded-recovery
+    /// violation).
+    pub(crate) fn run_until_quiet(&mut self, slice: Duration, cap: Duration) -> bool {
+        let deadline = self.now() + cap;
+        let progress = |c: &Cluster| {
+            let m = c.metrics();
+            (
+                m.requests_dispatched,
+                m.replies_delivered,
+                m.recoveries_completed,
+            )
+        };
+        let mut last = progress(self);
+        loop {
+            self.run_for(slice);
+            let snap = progress(self);
+            let quiet =
+                self.formed() && !self.recovery_in_flight() && self.outstanding_calls() == 0;
+            if quiet && snap == last {
+                return true;
+            }
+            last = snap;
+            if self.now() >= deadline {
+                return false;
+            }
+        }
+    }
+
     // ================================================================
     // Fault injection and recovery
     // ================================================================

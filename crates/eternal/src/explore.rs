@@ -38,8 +38,10 @@
 
 use crate::app::{BurstClient, CounterServant};
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind};
+use crate::faults::{self, FaultKind, Fixed};
+use crate::oracle::{Oracle, OracleConfig, OraclePair, ServantKind, Violation};
 use crate::properties::FaultToleranceProperties;
+use eternal_obs::export::json_escape;
 use eternal_obs::{EventKind, MetricsRegistry};
 use eternal_sim::choice::{ChoiceKind, ChoiceSource};
 use eternal_sim::rng::SimRng;
@@ -153,24 +155,6 @@ pub struct RecordedChoice {
     pub arity: u8,
 }
 
-/// One oracle (or liveness) violation observed during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreViolation {
-    /// Load step after which the check ran (0 = post-deployment
-    /// baseline).
-    pub step: usize,
-    /// Invariant name.
-    pub invariant: &'static str,
-    /// What was observed.
-    pub detail: String,
-}
-
-impl fmt::Display for ExploreViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "step {}: {}: {}", self.step, self.invariant, self.detail)
-    }
-}
-
 /// The deterministic result of running one schedule.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -179,7 +163,7 @@ pub struct RunOutcome {
     /// Every armed choice-point resolution, in order.
     pub trace: Vec<RecordedChoice>,
     /// Oracle violations, in discovery order.
-    pub violations: Vec<ExploreViolation>,
+    pub violations: Vec<Violation>,
     /// Virtual time at the end of the run, nanoseconds.
     pub final_time_ns: u64,
     /// Frames dropped by non-default frame-fate branches.
@@ -317,56 +301,31 @@ fn run_schedule(
         kind: ServantKind::Counter,
     });
 
-    let mut violations = Vec::new();
-    let audit = |cluster: &mut Cluster,
-                 violations: &mut Vec<ExploreViolation>,
-                 step: usize,
-                 settled: bool| {
-        if !settled {
-            violations.push(ExploreViolation {
-                step,
-                invariant: "bounded-recovery",
-                detail: format!("cluster failed to quiesce within {}", cfg.settle_cap),
-            });
-        }
-        for v in oracle.check(cluster) {
-            violations.push(ExploreViolation {
-                step,
-                invariant: v.invariant,
-                detail: v.detail,
-            });
-        }
-    };
-
     // Post-deployment baseline, then the load steps.
-    let settled = settle(&mut cluster, cfg);
-    audit(&mut cluster, &mut violations, 0, settled);
+    let settle = |cluster: &mut Cluster| cluster.run_until_quiet(cfg.settle_slice, cfg.settle_cap);
+    let settled = settle(&mut cluster);
+    let mut violations = oracle.audit(&mut cluster, 0, settled, cfg.settle_cap);
     for step in 1..=cfg.steps {
         // Fault choice-point: when the server group can lose a replica,
         // branch 1 kills its first live one (auto-recovery then brings
         // a replacement up through the §5.1 state transfer, all inside
         // the explored schedule).
-        let live: Vec<_> = cluster
-            .hosting(server)
-            .into_iter()
-            .filter(|&n| cluster.is_alive(n))
-            .collect();
-        if live.len() >= 2 {
+        if faults::applicable(&cluster, FaultKind::KillReplica, server) {
             let branch = source.borrow_mut().choose(ChoiceKind::Fault, 2);
             if branch == 1 {
+                let done = faults::apply(&mut cluster, FaultKind::KillReplica, server, &mut Fixed);
                 if causal {
                     cluster.record_event(
                         "explore/fault",
                         EventKind::ExploreChoice,
-                        format!("step {step}: kill {}", live[0]),
+                        format!("step {step}: kill {}", done.victims[0]),
                     );
                 }
-                cluster.kill_replica(server, live[0]);
             }
         }
         cluster.kick_clients();
-        let settled = settle(&mut cluster, cfg);
-        audit(&mut cluster, &mut violations, step, settled);
+        let settled = settle(&mut cluster);
+        violations.extend(oracle.audit(&mut cluster, step, settled, cfg.settle_cap));
     }
 
     // Planted bug (`--force-violation`): pretend duplicate detection is
@@ -380,7 +339,7 @@ fn run_schedule(
     let frames_dropped = registry.counter("explore.frames_dropped");
     let frames_delayed = registry.counter("explore.frames_delayed");
     if cfg.force_violation && frames_dropped > 0 {
-        violations.push(ExploreViolation {
+        violations.push(Violation {
             step: cfg.steps,
             invariant: "exactly-once",
             detail: format!(
@@ -406,7 +365,7 @@ fn run_schedule(
         let reason = outcome
             .violations
             .iter()
-            .map(ExploreViolation::to_string)
+            .map(Violation::to_string)
             .collect::<Vec<_>>()
             .join("; ");
         cluster.record_event(
@@ -421,35 +380,6 @@ fn run_schedule(
     (outcome, flight)
 }
 
-/// Runs until the cluster is quiet (ring formed, no recovery in
-/// flight, no outstanding invocations, no metrics movement for a full
-/// slice) or the settle cap is exceeded.
-fn settle(cluster: &mut Cluster, cfg: &ExploreConfig) -> bool {
-    let deadline = cluster.now() + cfg.settle_cap;
-    let snapshot = |c: &Cluster| {
-        let m = c.metrics();
-        (
-            m.requests_dispatched,
-            m.replies_delivered,
-            m.recoveries_completed,
-        )
-    };
-    let mut last = snapshot(cluster);
-    loop {
-        cluster.run_for(cfg.settle_slice);
-        let snap = snapshot(cluster);
-        let quiet =
-            cluster.formed() && !cluster.recovery_in_flight() && cluster.outstanding_calls() == 0;
-        if quiet && snap == last {
-            return true;
-        }
-        last = snap;
-        if cluster.now() >= deadline {
-            return false;
-        }
-    }
-}
-
 /// A shrunk counterexample schedule, ready to be pinned as a test.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
@@ -460,7 +390,7 @@ pub struct Counterexample {
     /// The minimal schedule's full recorded trace.
     pub trace: Vec<RecordedChoice>,
     /// Violations the minimal schedule produces.
-    pub violations: Vec<ExploreViolation>,
+    pub violations: Vec<Violation>,
     /// Prefix length before shrinking.
     pub shrunk_from: usize,
     /// Schedule re-runs the shrinker spent.
@@ -520,11 +450,6 @@ impl ExploreReport {
     /// Machine-readable rendering (the `repro -- explore --json`
     /// export). Byte-deterministic: equal configs produce equal bytes.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": 1,");
         let _ = writeln!(out, "  \"tool\": \"explore\",");
@@ -581,14 +506,7 @@ impl ExploreReport {
                 let violations = ce
                     .violations
                     .iter()
-                    .map(|v| {
-                        format!(
-                            "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
-                            v.step,
-                            v.invariant,
-                            esc(&v.detail)
-                        )
-                    })
+                    .map(Violation::to_json)
                     .collect::<Vec<_>>()
                     .join(", ");
                 let _ = writeln!(out, "    \"violations\": [{violations}],");
@@ -599,10 +517,10 @@ impl ExploreReport {
                     "    \"reproduced_with_tracing\": {},",
                     ce.reproduced_with_tracing
                 );
-                let _ = writeln!(out, "    \"skeleton\": \"{}\",", esc(&ce.skeleton));
+                let _ = writeln!(out, "    \"skeleton\": \"{}\",", json_escape(&ce.skeleton));
                 match &ce.flight_recorder {
                     Some(dump) => {
-                        let _ = writeln!(out, "    \"flight_recorder\": \"{}\"", esc(dump));
+                        let _ = writeln!(out, "    \"flight_recorder\": \"{}\"", json_escape(dump));
                     }
                     None => {
                         let _ = writeln!(out, "    \"flight_recorder\": null");

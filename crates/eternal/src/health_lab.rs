@@ -6,14 +6,15 @@
 //! on, injects exactly one fault class (or none), and hands back the
 //! whole [`Cluster`] so callers can interrogate the auditor's agreed
 //! epoch stream. The detection-coverage matrix test and the
-//! `repro -- health` runner both drive it; every choice in here is
-//! deterministic (first host, highest safe processor, midpoint split),
-//! so the same seed reproduces the same epochs and diagnoses byte for
-//! byte. See `docs/HEALTH.md` for the fault → detector map.
+//! `repro -- health` runner both drive it. Faults go through the shared
+//! fault model ([`crate::faults`]) with its deterministic
+//! `Fixed` rule, so the same seed reproduces the same epochs and
+//! diagnoses byte for byte. See `docs/HEALTH.md` for the fault →
+//! detector map.
 
 use crate::app::{BlobServant, BurstClient, CounterServant};
-use crate::chaos::FaultKind;
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::faults::{self, FaultKind, Fixed};
 use crate::gid::GroupId;
 use crate::properties::FaultToleranceProperties;
 use eternal_obs::health::{AuditorConfig, Detector};
@@ -102,7 +103,7 @@ pub const fn expected_detector(fault: FaultKind) -> Detector {
         FaultKind::PartitionHeal => Detector::ReformationStorm,
         // Frame loss under load drives token and message retransmits.
         FaultKind::LossBurst => Detector::RetransmitSurge,
-        // 2.5 ms propagation makes a 5-hop token rotation exceed the
+        // 2 ms propagation makes a 5-hop token rotation exceed the
         // 8 ms token-slow threshold without tripping token-loss timers.
         FaultKind::DelaySpike => Detector::TokenStall,
     }
@@ -141,8 +142,9 @@ pub fn auditor_config_for(fault: Option<FaultKind>) -> AuditorConfig {
     }
 }
 
-/// Runs one scenario to completion.
-pub fn run_scenario(cfg: &LabConfig) -> LabRun {
+/// Builds the scenario's cluster and deploys its workload: returns the
+/// cluster, run until deployed, with the counter and blob server groups.
+pub(crate) fn deploy_workload(cfg: &LabConfig) -> (Cluster, GroupId, GroupId) {
     assert!(
         cfg.processors >= 4,
         "scenario topology needs >= 4 processors"
@@ -192,6 +194,12 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
         move |_| Box::new(BurstClient::new(blob, "touch", burst)),
     );
     cluster.run_until_deployed();
+    (cluster, counter, blob)
+}
+
+/// Runs one scenario to completion.
+pub fn run_scenario(cfg: &LabConfig) -> LabRun {
+    let (mut cluster, counter, blob) = deploy_workload(cfg);
 
     // Baseline: traffic over a healthy ring. Long enough that the
     // deployment transient (launch-phase recovering runs, initial
@@ -220,7 +228,10 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
     }
     if let Some(fault) = cfg.fault {
         injected_at = Some(cluster.now());
-        inject(&mut cluster, blob, fault);
+        faults::apply(&mut cluster, fault, blob, &mut Fixed);
+        // Let the episode play out; a scenario that never quiesces still
+        // reports whatever its detectors saw.
+        cluster.run_until_quiet(Duration::from_millis(10), Duration::from_secs(3));
     }
 
     // Drain to quiescence so summaries cover the full episode.
@@ -234,143 +245,4 @@ pub fn run_scenario(cfg: &LabConfig) -> LabRun {
         counter,
         blob,
     }
-}
-
-fn inject(cluster: &mut Cluster, blob: GroupId, fault: FaultKind) {
-    match fault {
-        FaultKind::KillReplica => {
-            let victim = first_host(cluster, blob);
-            cluster.kill_replica(blob, victim);
-            cluster.run_for(Duration::from_millis(150));
-        }
-        FaultKind::CrashRestart => {
-            let victim = highest_safe_processor(cluster);
-            cluster.crash_processor(victim);
-            // Hold well past the silence thresholds while the
-            // survivors keep publishing.
-            cluster.run_for(Duration::from_millis(60));
-            cluster.restart_processor(victim);
-            cluster.run_for(Duration::from_millis(150));
-        }
-        FaultKind::PartitionHeal => {
-            let live: Vec<NodeId> = cluster
-                .processors()
-                .into_iter()
-                .filter(|&n| cluster.is_alive(n))
-                .collect();
-            let (a, b) = live.split_at(live.len() / 2 + 1);
-            cluster.net_mut().partition(&[a, b]);
-            // Long enough for token-loss detection and a reformation
-            // on each side, so the heal forces a second one.
-            cluster.run_for(Duration::from_millis(60));
-            cluster.net_mut().heal();
-            cluster.run_for(Duration::from_millis(200));
-        }
-        FaultKind::LossBurst => {
-            let base = cluster.net().config().loss_probability;
-            cluster.net_mut().set_loss_probability(0.3);
-            // Keep traffic flowing through the lossy window so dropped
-            // frames keep landing in the token's retransmit-request set.
-            for _ in 0..6 {
-                cluster.kick_clients();
-                cluster.run_for(Duration::from_millis(10));
-            }
-            cluster.net_mut().set_loss_probability(base);
-            cluster.run_for(Duration::from_millis(100));
-        }
-        FaultKind::DelaySpike => {
-            let base = cluster.net().config().propagation_delay;
-            cluster
-                .net_mut()
-                .set_propagation_delay(Duration::from_micros(2_500));
-            cluster.run_for(Duration::from_millis(80));
-            cluster.net_mut().set_propagation_delay(base);
-            cluster.run_for(Duration::from_millis(60));
-        }
-        FaultKind::KillMidTransfer => {
-            let victim = first_host(cluster, blob);
-            cluster.kill_replica(blob, victim);
-            // Slice forward until the replacement's launch is pending,
-            // then crash the recovering host itself mid-transfer.
-            let deadline = cluster.now() + Duration::from_millis(200);
-            let new_host = loop {
-                if let Some(&(_, host)) =
-                    cluster.pending_launches().iter().find(|&&(g, _)| g == blob)
-                {
-                    break Some(host);
-                }
-                if cluster.now() >= deadline {
-                    break None;
-                }
-                cluster.run_for(Duration::from_micros(500));
-            };
-            if let Some(new_host) = new_host {
-                cluster.run_for(Duration::from_millis(1));
-                if cluster.is_alive(new_host) && safe_to_crash(cluster, new_host) {
-                    cluster.crash_processor(new_host);
-                    cluster.run_for(Duration::from_millis(40));
-                    cluster.restart_processor(new_host);
-                }
-            }
-            cluster.run_for(Duration::from_millis(250));
-        }
-        FaultKind::KillDonorMidStream => {
-            let victim = first_host(cluster, blob);
-            cluster.kill_replica(blob, victim);
-            // Slice forward until the chunk stream is under way (every
-            // operational host retains a context naming the donor),
-            // then kill the donor's replica: a survivor resumes the
-            // stream from the cursor, and the stretched episode
-            // overruns the tightened recovery SLO.
-            let deadline = cluster.now() + Duration::from_millis(200);
-            let donor = loop {
-                let streaming = cluster
-                    .processors()
-                    .into_iter()
-                    .filter(|&n| cluster.is_alive(n))
-                    .find_map(|n| cluster.mechanisms(n).transfer_donor(blob));
-                if let Some(donor) = streaming {
-                    break Some(donor);
-                }
-                if cluster.now() >= deadline {
-                    break None;
-                }
-                cluster.run_for(Duration::from_micros(500));
-            };
-            if let Some(donor) = donor {
-                cluster.run_for(Duration::from_millis(1));
-                if cluster.is_alive(donor) && cluster.hosting(blob).contains(&donor) {
-                    cluster.kill_replica(blob, donor);
-                }
-            }
-            cluster.run_for(Duration::from_millis(250));
-        }
-    }
-}
-
-/// The lowest-id live host of `group` (deterministic victim choice).
-fn first_host(cluster: &Cluster, group: GroupId) -> NodeId {
-    *cluster
-        .hosting(group)
-        .first()
-        .expect("scenario group is hosted")
-}
-
-/// The highest-id processor every group can survive losing.
-fn highest_safe_processor(cluster: &Cluster) -> NodeId {
-    cluster
-        .processors()
-        .into_iter()
-        .rev()
-        .find(|&n| cluster.is_alive(n) && safe_to_crash(cluster, n))
-        .expect("some processor is safe to crash")
-}
-
-fn safe_to_crash(cluster: &Cluster, victim: NodeId) -> bool {
-    cluster.groups().iter().all(|&(g, _)| {
-        cluster
-            .hosting(g)
-            .iter()
-            .any(|&n| n != victim && cluster.is_alive(n))
-    })
 }

@@ -72,6 +72,7 @@ pub mod causal;
 pub mod chaos;
 pub mod cluster;
 pub mod explore;
+pub mod faults;
 pub mod gid;
 pub mod health_lab;
 pub mod interceptor;

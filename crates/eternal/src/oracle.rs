@@ -34,11 +34,14 @@
 
 use crate::app::{BlobServant, CounterServant};
 use crate::cluster::Cluster;
+use crate::faults::live_processors;
 use crate::gid::GroupId;
 use crate::mechanisms::ReplicaPhase;
 use eternal_cdr::{Any, Value};
+use eternal_obs::export::json_escape;
 use eternal_orb::servant::{CheckpointableServant, Servant};
 use eternal_sim::net::NodeId;
+use eternal_sim::Duration;
 use std::fmt;
 
 /// What a server group's reference servant is, for the single-copy
@@ -165,6 +168,37 @@ impl fmt::Display for OracleViolation {
     }
 }
 
+/// An invariant violation observed at the quiescent point after a
+/// fault step: what the chaos campaigns and the explorer report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Step after which the check ran (0 = post-deployment baseline).
+    pub step: usize,
+    /// Invariant name: an [`OracleViolation`] name, `bounded-recovery`,
+    /// or a caller's own (`forced`).
+    pub invariant: &'static str,
+    /// What was observed.
+    pub detail: String,
+}
+
+impl Violation {
+    /// JSON object rendering (the chaos and explorer reports).
+    pub(crate) fn to_json(&self) -> String {
+        format!(
+            "{{\"step\": {}, \"invariant\": \"{}\", \"detail\": \"{}\"}}",
+            self.step,
+            self.invariant,
+            json_escape(&self.detail)
+        )
+    }
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "step {}: {}: {}", self.step, self.invariant, self.detail)
+    }
+}
+
 /// The single-copy correctness oracle. Build one with the audited
 /// server/driver pairs, then call [`Oracle::check`] at every quiescent
 /// point.
@@ -217,6 +251,33 @@ impl Oracle {
         out
     }
 
+    /// Audits the quiescent point reached after `step`: a settle loop
+    /// that ran out its `settle_cap` (`settled == false`) is a
+    /// `bounded-recovery` violation, followed by every
+    /// [`Oracle::check`] violation.
+    pub(crate) fn audit(
+        &self,
+        cluster: &mut Cluster,
+        step: usize,
+        settled: bool,
+        settle_cap: Duration,
+    ) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if !settled {
+            out.push(Violation {
+                step,
+                invariant: "bounded-recovery",
+                detail: format!("cluster failed to quiesce within {settle_cap}"),
+            });
+        }
+        out.extend(self.check(cluster).into_iter().map(|v| Violation {
+            step,
+            invariant: v.invariant,
+            detail: v.detail,
+        }));
+        out
+    }
+
     /// [`Oracle::check`], panicking with the full violation list on any
     /// failure. `context` names the quiescent point in the panic
     /// message — integration tests call this at each of theirs.
@@ -231,14 +292,6 @@ impl Oracle {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-    }
-
-    fn live_processors(cluster: &Cluster) -> Vec<NodeId> {
-        cluster
-            .processors()
-            .into_iter()
-            .filter(|&n| cluster.is_alive(n))
-            .collect()
     }
 
     /// Invariant 1: byte-identical application state across each
@@ -361,7 +414,7 @@ impl Oracle {
     /// Invariant 4: no partially reassembled multicast survives a
     /// quiescent point on any live processor.
     pub fn check_reassembly(&self, cluster: &mut Cluster, out: &mut Vec<OracleViolation>) {
-        for node in Self::live_processors(cluster) {
+        for node in live_processors(cluster) {
             let pending = cluster.reassembly_pending(node);
             if pending > 0 {
                 out.push(OracleViolation {
@@ -375,7 +428,7 @@ impl Oracle {
     /// Invariant 5: duplicate-suppression memory stays bounded.
     pub fn check_dedup_bound(&self, cluster: &mut Cluster, out: &mut Vec<OracleViolation>) {
         let cap = self.cfg.dedup_resident_cap;
-        for node in Self::live_processors(cluster) {
+        for node in live_processors(cluster) {
             let resident = cluster.mechanisms(node).dedup_resident();
             if resident > cap {
                 out.push(OracleViolation {
@@ -396,7 +449,7 @@ impl Oracle {
         }
         let cap = 2 * threshold;
         for (group, name) in cluster.groups() {
-            for node in Self::live_processors(cluster) {
+            for node in live_processors(cluster) {
                 let len = cluster.mechanisms(node).log_suffix_len(group);
                 if len > cap {
                     out.push(OracleViolation {

@@ -420,6 +420,53 @@ fn campaign_replay_is_byte_identical() {
     assert_eq!(a, b);
 }
 
+/// The campaign trajectory is pinned across versions, not only within
+/// one build: these summaries were rendered by the build that predates
+/// the shared fault model (`eternal::faults`), and together the three
+/// seeds draw all seven fault kinds. A change to any fault's RNG draws,
+/// their order, or the cluster calls a fault makes shows up here.
+#[test]
+fn campaign_trajectories_match_pinned_summaries() {
+    let pinned = [
+        (
+            1,
+            "chaos campaign: seed=1 steps=4 end=t=477.231ms
+  faults: crash_restart=1 kill_donor_mid_stream=1 kill_mid_transfer=1 loss_burst=1
+  traffic: dispatched=160 replies=164 duplicates_suppressed=816
+  recovery: completed=8 takeovers=1 dedup_gaps_skipped=0
+  invariants: checks=5 violations=0
+  verdict: PASS",
+        ),
+        (
+            7,
+            "chaos campaign: seed=7 steps=4 end=t=216.843ms
+  faults: kill_mid_transfer=1 kill_replica=2 partition_heal=1
+  traffic: dispatched=100 replies=104 duplicates_suppressed=520
+  recovery: completed=5 takeovers=0 dedup_gaps_skipped=0
+  invariants: checks=5 violations=0
+  verdict: PASS",
+        ),
+        (
+            11,
+            "chaos campaign: seed=11 steps=4 end=t=232.327ms
+  faults: delay_spike=1 kill_donor_mid_stream=1 kill_replica=1 partition_heal=1
+  traffic: dispatched=160 replies=144 duplicates_suppressed=800
+  recovery: completed=3 takeovers=1 dedup_gaps_skipped=0
+  invariants: checks=5 violations=0
+  verdict: PASS",
+        ),
+    ];
+    for (seed, expected) in pinned {
+        let summary = run_campaign(&CampaignConfig {
+            seed,
+            steps: 4,
+            ..CampaignConfig::default()
+        });
+        assert_eq!(summary.to_string(), expected, "seed {seed}");
+        assert_eq!(summary.schedule.len(), 4, "seed {seed}");
+    }
+}
+
 /// Regression: a primary whose processor crashed in the middle of
 /// multicasting a checkpoint, and restarted before any membership
 /// excluded it, left the checkpoint's leading fragments parked in every

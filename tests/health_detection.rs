@@ -5,8 +5,8 @@
 //! healthy cluster is a false positive, and the auditor's whole value
 //! rests on firing only when something is actually wrong.
 
-use eternal::chaos::FaultKind;
 use eternal::cluster::{Cluster, ClusterConfig};
+use eternal::faults::FaultKind;
 use eternal::health_lab::{expected_detector, run_scenario, LabConfig};
 use eternal::properties::FaultToleranceProperties;
 use eternal_obs::health::{Detector, Severity};
